@@ -14,8 +14,10 @@ rccs itself.
 
 Operation ``i`` of a workload depends only on (workload, seed, i), so a
 run can draw as many operations as its time allows and the same seed
-always yields the same inputs. Warm-up operations come from a separate
-stream of the same seed.
+always yields the same inputs. Its shape comes from a fixed set of
+templates and the seed draws the rest (see SHAPES); its copies differ
+only in their names (see MAX_COPIES). Warm-up operations come from a
+separate stream with templates and names of its own.
 """
 
 from __future__ import annotations
@@ -190,6 +192,48 @@ def overflows_intermediate(term) -> bool:
     return len(events(term)) <= EVENT_CAP < largest_structure(term)
 
 
+def relabelled(term, rename):
+    """The term with every name n replaced by rename(n)."""
+    kind = term[0]
+    if kind == "sum":
+        return (
+            "sum",
+            tuple(
+                (label[:-len(name_of(label))] + rename(name_of(label)), relabelled(cont, rename))
+                for label, cont in term[1]
+            ),
+        )
+    if kind == "par":
+        return ("par", relabelled(term[1], rename), relabelled(term[2], rename))
+    if kind == "res":
+        return ("res", relabelled(term[1], rename), rename(term[2]))
+    return term
+
+
+def renamed(term, suffix: str):
+    """The term with ``suffix`` appended to every name."""
+    return relabelled(term, lambda name: name + suffix)
+
+
+def names(term) -> set[str]:
+    """Every name the term uses, restricted ones included."""
+    kind = term[0]
+    if kind == "sum":
+        return {name_of(label) for label, _ in term[1]}.union(*(names(c) for _, c in term[1]))
+    if kind == "par":
+        return names(term[1]) | names(term[2])
+    if kind == "res":
+        return names(term[1]) | {term[2]}
+    return set()
+
+
+def shuffled_names(terms, rng: random.Random) -> list:
+    """The terms under one random permutation of the names they use."""
+    used = sorted(set().union(*map(names, terms)))
+    mapping = dict(zip(used, rng.sample(used, len(used))))
+    return [relabelled(term, mapping.__getitem__) for term in terms]
+
+
 def variant(term, rng: random.Random):
     """A structurally congruent rewrite: summands and parallel components
     shuffled and parallel composition reassociated, at every depth."""
@@ -281,6 +325,34 @@ def mutate(term, i: int, j: int, rng: random.Random):
 def _rng(workload: str, seed: int, stream: str, index: int) -> random.Random:
     # String seeds hash with SHA-512, so draws do not depend on PYTHONHASHSEED.
     return random.Random(f"rccs-bench/{workload}/{seed}/{stream}/{index}")
+
+
+# The shape of an operation (its term, or the left term of its pair) is
+# one of SHAPES templates, drawn from a stream that does not depend on
+# the seed; the seed draws a permutation of the template's names, the
+# congruent variant or expansion mutant it is paired with, and the walk
+# taken from it. A workload's cost is then much the same mix from seed
+# to seed, so its percentiles move with the program, not with the draw.
+#
+# The templates repeat with period SHAPES, a multiple of every cycle in
+# the strata below, and a run stops its first round at the end of a
+# period (see workload.py), so that every run holds each template as
+# often as every other: which templates a run holds does not then move
+# with how fast it runs.
+SHAPES = {"build": 40, "equiv": 160, "congruence": 10, "walk": 28}
+
+
+def _shape_rng(workload: str, stream: str, stratum: int) -> random.Random:
+    return random.Random(
+        f"rccs-bench/{workload}/shapes/{stream}/{stratum % SHAPES[workload]}"
+    )
+
+
+def period_ends(workload: str, count: int) -> bool:
+    """Whether the first ``count`` operations of the timed stream are the
+    fixed cases and whole periods of templates."""
+    drawn = count - len(FIXED[workload])
+    return drawn >= 0 and drawn % SHAPES[workload] == 0
 
 
 def _chain(rng, labels: list[str], length: int):
@@ -389,63 +461,74 @@ def _pair_threads(rng, draw_label, count: int) -> list:
     return parts
 
 
-def _draw_pair(rng, labeler, threads, sizes, expect, overflow, restrict):
-    """(p, q): q a congruent variant of p, or an expansion mutant of p
-    when expect is "distinguished"; p has ``threads`` top-level
-    components and a number of events in ``sizes``. Each attempt draws
-    its labels from a fresh ``labeler()``."""
+REWRITE_TRIES = 8
+
+
+def _rewrite(p, expect: str, rng: random.Random):
+    """A congruent variant of p that differs from p in its text (one that
+    reads as p itself would be an easy case of its own), or an expansion
+    mutant of p; None if this draw has none."""
+    if expect == "equivalent":
+        q = variant(p, rng)
+        return q if fmt(q) != fmt(p) else None
+    parts = threads(strip_res(p))
+    sites = [
+        (i, j)
+        for i in range(len(parts))
+        for j in range(i + 1, len(parts))
+        if expansion_preconditions(p, i, j)
+    ]
+    return mutate(p, *rng.choice(sites), rng) if sites else None
+
+
+def _draw_pair(shape, rng, labeler, threads, sizes, expect, overflow, restrict):
+    """(p, q): p drawn from ``shape``, with ``threads`` top-level
+    components and a number of events in ``sizes``; q drawn from ``rng``,
+    a congruent variant of p, or an expansion mutant of p when expect is
+    "distinguished". Each attempt at p draws its labels from a fresh
+    ``labeler()``."""
     while True:
         draw_label = labeler()
         try:
-            parts = _pair_threads(rng, draw_label, threads)
+            parts = _pair_threads(shape, draw_label, threads)
         except IndexError:  # a labeler without replacement ran out
             continue
-        p = par_of(parts, rng)
-        if restrict and rng.random() < 0.15:
+        p = par_of(parts, shape)
+        if restrict and shape.random() < 0.15:
             p = ("res", p, name_of(draw_label()))
         if len(events(p)) not in sizes:
             continue
-        if expect == "equivalent":
-            q = variant(p, rng)
-        else:
-            sites = [
-                (i, j)
-                for i in range(len(parts))
-                for j in range(i + 1, len(parts))
-                if expansion_preconditions(p, i, j)
-            ]
-            if not sites:
-                continue
-            q = mutate(p, *rng.choice(sites), rng)
-        if _in_category([p, q], overflow):
-            return p, q
+        for _ in range(REWRITE_TRIES):
+            q = _rewrite(p, expect, rng)
+            if q is not None and _in_category([p, q], overflow):
+                return p, q
 
 
-# Operation i of a workload draws its shape (component count, expected
-# verdict, overflow case or not) from i, cycling, and only its content
-# from the seed: every run then has the same mix of shapes, which keeps
-# run-to-run spread down to the variation within a shape.
+# Operation i of a workload draws its stratum (component count, expected
+# verdict, overflow case or not) from i, cycling, and its template from
+# _shape_rng: every run then has the same mix of shapes, which keeps
+# run-to-run spread down to the variation the seed brings.
 #
 # rccs refuses a term whose final structure fits the cap when one of its
 # intermediate products does not (the known defect of building the full
 # product first). One in OVERFLOW_EVERY drawn build and equiv operations
 # is such a case, so the defect shows in decided_share without
 # dominating it.
-OVERFLOW_EVERY = 32
+OVERFLOW_EVERY = 40
 
 
 def _overflow(stratum: int) -> bool:
     return stratum % OVERFLOW_EVERY == OVERFLOW_EVERY - 1
 
 
-def draw_equiv_pair(rng: random.Random, stratum: int):
+def draw_equiv_pair(shape: random.Random, rng: random.Random, stratum: int):
     """Repeated labels and auto-concurrency over {a, b, c}, with co-names;
     2 to 5 components and 2 to 6 events; half variants, half mutants."""
     labels = ["a", "a", "a", "b", "b", "c", "!a", "!b"]
     expect = ("equivalent", "distinguished")[stratum % 2]
     threads = (2, 3, 4, 5)[stratum // 2 % 4]
     p, q = _draw_pair(
-        rng, lambda: lambda: rng.choice(labels), threads, range(2, 7), expect,
+        shape, rng, lambda: lambda: shape.choice(labels), threads, range(2, 7), expect,
         _overflow(stratum), True,
     )
     return p, q, expect
@@ -456,23 +539,24 @@ def _distinct_labels(rng, count: int, alphabet: str = "abcdefghijklmnop", suffix
     return [f"!{n}{suffix}" if rng.random() < 0.25 else f"{n}{suffix}" for n in names]
 
 
-def draw_congruence_pair(rng: random.Random, stratum: int):
+def draw_congruence_pair(shape: random.Random, rng: random.Random, stratum: int):
     """Singly labelled pairs: each prefix has its own name, unique to the
     operation, so nothing synchronises and the caches are reused only
     across the contexts of one pair. Three in ten are mutants of three
     prefixes, told apart by the first context. The congruent variants
-    are of a fixed shape each, a | b (four in ten, about 25 contexts)
-    and a | b | c (three in ten, about 50 contexts), so that op_p50_ms
-    and op_p90_ms each fall inside one shape rather than between two."""
+    are of a fixed shape each, a | b (five in ten, about 25 contexts)
+    and a | b | c (two in ten, about 50 contexts), so that op_p50_ms and
+    op_p90_ms each fall inside one shape rather than between two."""
     kind = stratum % 10
     if kind < 3:
         expect, size, threads = "distinguished", 3, 2 + kind % 2
     else:
-        expect, size = "equivalent", 2 if kind < 7 else 3
+        expect, size = "equivalent", 2 if kind < 8 else 3
         threads = size
     p, q = _draw_pair(
+        shape,
         rng,
-        lambda: _distinct_labels(rng, 6, "abcdef", stratum).pop,
+        lambda: _distinct_labels(shape, 6, "abcdef", stratum).pop,
         threads, (size,), expect, False, False,
     )
     return p, q, expect
@@ -616,12 +700,13 @@ def _walk_term(rng, labels: list[str], size: int):
     return prefix(labels.pop(), _walk_term(rng, labels, size - 1))
 
 
-def draw_walk(rng: random.Random, stratum: int) -> tuple:
-    """(term, process, trace, ids): a coherent process reached by a random
-    walk from a fresh term of 6 to 12 prefixes, a replayable mixed trace
-    of 10 to 30 steps from it, and the number of memory identifiers in
+def draw_walk(shape: random.Random, rng: random.Random, stratum: int, suffix: str = "") -> tuple:
+    """(term, process, trace, ids): a term of 6 to 12 prefixes drawn from
+    ``shape`` (its names carrying ``suffix``), a coherent process reached
+    from it by a random walk drawn from ``rng``, a replayable mixed trace
+    of 10 to 30 steps from there, and the number of memory identifiers in
     the process."""
-    term = draw_walk_term(rng, 6 + stratum % 7)
+    term = renamed(draw_walk_term(shape, 6 + stratum % 7), suffix)
     state = WalkState(term)
     for _ in range(rng.randint(3, 12)):
         _walk_step(rng, state, 0.75)
@@ -683,24 +768,46 @@ def _pair_op(p, q, expect, name=None) -> dict:
     return {"name": name, "p": fmt(p), "q": fmt(q), "expect": expect}
 
 
-def operation(workload: str, seed: int, index: int, stream: str = "run") -> dict:
-    """Operation ``index`` of a workload's seeded stream; the timed stream
-    ("run") opens with the workload's fixed cases."""
+# Each operation runs as several copies (see workload.py). Copy c renames
+# every name with the suffix _c, so the copies do the same work on names
+# no other copy uses and machine's caches give no copy a head start.
+MAX_COPIES = 10
+
+
+def copy_suffix(copy: int) -> str:
+    if not 0 <= copy < MAX_COPIES:
+        raise ValueError(f"copy {copy} out of range")
+    return f"_{copy}"
+
+
+def operation(
+    workload: str, seed: int, index: int, stream: str = "run", copy: int = 0
+) -> dict:
+    """Copy ``copy`` of operation ``index`` of a workload's seeded stream;
+    the timed stream ("run") opens with the workload's fixed cases. Other
+    streams draw other templates and carry their name as a suffix, so
+    they share no name with the timed stream."""
+    suffix = copy_suffix(copy) if stream == "run" else f"_{stream}"
     fixed = FIXED[workload] if stream == "run" else []
     if index < len(fixed):
         name, p, q = fixed[index]
         if workload == "build":
-            return _build_op(p, name)
-        return _pair_op(p, q, "equivalent", name)
+            return _build_op(renamed(p, suffix), name)
+        return _pair_op(renamed(p, suffix), renamed(q, suffix), "equivalent", name)
     stratum = index - len(fixed)
+    shape = _shape_rng(workload, stream, stratum)
     rng = _rng(workload, seed, stream, stratum)
     if workload == "build":
-        return _build_op(draw_build_term(rng, stratum))
-    if workload == "equiv":
-        return _pair_op(*draw_equiv_pair(rng, stratum))
-    if workload == "congruence":
-        return _pair_op(*draw_congruence_pair(rng, stratum))
-    term, process, trace, ids = draw_walk(rng, stratum)
+        term, = shuffled_names([draw_build_term(shape, stratum)], rng)
+        return _build_op(renamed(term, suffix))
+    if workload in ("equiv", "congruence"):
+        draw = draw_equiv_pair if workload == "equiv" else draw_congruence_pair
+        p, q, expect = draw(shape, rng, stratum)
+        p, q = shuffled_names([p, q], rng)
+        return _pair_op(renamed(p, suffix), renamed(q, suffix), expect)
+    # A walk's names carry its stratum as well, so that walks from one
+    # template in different periods share no states in machine's caches.
+    term, process, trace, ids = draw_walk(shape, rng, stratum, f"{stratum}{suffix}")
     return {
         "name": None,
         "process": process,

@@ -13,10 +13,14 @@ answers fixed by how each input was built (see corpus.py):
   walk        ``rccs encode --rccs`` and ``rccs replay``: machine paths
 
 With ``--trace 0`` the last line of stdout is a JSON object with the
-end-to-end metrics; an operation that is refused, times out or crashes
-is undecided and counts at the time limit. With ``--trace 1`` the same
-operations run untraced and then traced (tracer.py) in two processes,
-their verdicts must agree, and the per-layer metrics are printed.
+end-to-end metrics. Times are scaled to a reference speed of the host
+(see reference.py), and an operation's time is the least over its
+renamed copies (see workload.py); an operation that is refused, times
+out or crashes is undecided and counts at the time limit. ``failed``
+counts the operations that crashed or gave a wrong verdict. With
+``--trace 1`` the same operations run untraced and then traced
+(tracer.py) in two processes, their verdicts must agree, and the
+per-layer metrics are printed.
 ``--workload all`` prints the end-to-end table for every workload.
 Exit status is 1 when a verdict contradicts its built answer and 2 when
 the program cannot be found or a run fails.
@@ -36,8 +40,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 import corpus  # noqa: E402
+from reference import REFERENCE_MS, reference_ms, scaled  # noqa: E402
 
-SETUP_SAMPLES = 11
+# Fresh-interpreter imports timed before the workload and again after
+# it, so that setup_s spans the run rather than one moment of the host.
+SETUP_SAMPLES = 8
+SETUP_REFERENCE_SAMPLES = 5
 CHILD_TIMEOUT_S = 170
 UNDECIDED = ("refused", "timed_out", "crashed")
 IMPORT_PROBE = (
@@ -60,11 +68,13 @@ def child_env(seed: int) -> dict:
     return env
 
 
-def measure_setup(seed: int) -> list[float]:
-    """Seconds for a fresh interpreter to import rccs.cli, one interpreter
-    at a time; the first, which may compile bytecode, is dropped."""
-    samples = []
+def measure_setup(seed: int) -> tuple[list[float], list[float]]:
+    """Seconds for a fresh interpreter to import rccs.cli, SETUP_SAMPLES
+    interpreters one at a time, and the reference loop's time before
+    each; one more runs first, untimed, since it may compile bytecode."""
+    samples, refs = [], []
     for _ in range(SETUP_SAMPLES + 1):
+        refs.append(statistics.median(reference_ms() for _ in range(SETUP_REFERENCE_SAMPLES)))
         done = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE],
             env=child_env(seed),
@@ -75,7 +85,7 @@ def measure_setup(seed: int) -> list[float]:
         if done.returncode != 0:
             raise BenchError(f"cannot import rccs.cli: {done.stderr.strip()}")
         samples.append(float(done.stdout.strip().splitlines()[-1]))
-    return samples[1:]
+    return samples[1:], refs[1:]
 
 
 def run_child(workload: str, seed: int, seconds: float, workdir: str, trace: int, ops=None) -> dict:
@@ -106,8 +116,43 @@ def _p90(values: list[float]) -> float:
     return statistics.quantiles(values, n=10)[-1] if len(values) > 1 else values[0]
 
 
+# The status an operation takes from its copies: the first of these any
+# copy has, else decided.
+STATUS_ORDER = ("wrong", "crashed", "refused", "timed_out")
+
+
+def merge_copies(records: list) -> list:
+    """One entry per operation: its status and its least scaled time over
+    its copies."""
+    copies: dict[int, list] = {}
+    for record in records:
+        copies.setdefault(record["index"], []).append(record)
+    ops = []
+    for index, runs in copies.items():
+        statuses = {run["status"] for run in runs}
+        status = next((s for s in STATUS_ORDER if s in statuses), "decided")
+        ops.append(
+            {
+                "index": index,
+                "name": runs[0]["name"],
+                "status": status,
+                "seconds": min(run["scaled"] for run in runs),
+                "copies": len(runs),
+            }
+        )
+    return ops
+
+
 def summarise(report: dict) -> dict:
-    ops = report["ops"]
+    records = report["ops"]
+    scaled_s = scaled(
+        [r["started"] for r in records],
+        [r["seconds"] for r in records],
+        [r["ref_ms"] for r in records],
+    )
+    for record, value in zip(records, scaled_s):
+        record["scaled"] = value
+    ops = merge_copies(records)
     limit = report["limit_s"]
     times = [
         limit if op["status"] in UNDECIDED else op["seconds"] for op in ops
@@ -117,8 +162,12 @@ def summarise(report: dict) -> dict:
     return {
         "attempted": len(ops),
         "decided": decided,
+        # Wrong verdicts and crashes; refusals and time-outs are the
+        # program's own limits and show in decided_share instead.
+        "failed": by_status["wrong"] + by_status["crashed"],
         "by_status": by_status,
-        "wrong_ops": [op for op in ops if op["status"] == "wrong"],
+        "reference_ms": statistics.median(r["ref_ms"] for r in records),
+        "wrong_ops": [r for r in records if r["status"] == "wrong"],
         "undecided_ops": [
             (op["index"], op["name"], op["status"]) for op in ops if op["status"] in UNDECIDED
         ],
@@ -126,7 +175,9 @@ def summarise(report: dict) -> dict:
             "op_p50_ms": (statistics.median(times) * 1e3, "ms"),
             "op_p90_ms": (_p90(times) * 1e3, "ms"),
             "decided_share": (decided / len(ops), "share"),
-            "decided_per_s": (decided / report["busy_s"], "1/s"),
+            "decided_per_s": (
+                sum(r["status"] == "decided" for r in records) / sum(scaled_s), "1/s"
+            ),
             "peak_rss_mb": (report["peak_rss_mb"], "MB"),
         },
     }
@@ -149,10 +200,12 @@ def end_to_end(workload: str, seed: int, seconds: float, workdir: str) -> dict:
     summary = summarise(report)
     slowest = max((op["seconds"] for op in report["ops"] if op["status"] == "decided"), default=0.0)
     print(
-        f"{workload}: {summary['attempted']} ops, {summary['decided']} decided, "
+        f"{workload}: {summary['attempted']} ops in {len(report['ops'])} copies, "
+        f"{summary['decided']} decided, "
         f"undecided by cause {json.dumps({s: summary['by_status'][s] for s in UNDECIDED})}, "
         f"slowest decided {slowest:.3f} s, event cap {report['event_cap']}, "
-        f"limit {report['limit_s']} s"
+        f"limit {report['limit_s']} s, reference loop {summary['reference_ms']:.4f} ms "
+        f"(times scaled to {REFERENCE_MS} ms)"
     )
     for index, name, status in summary["undecided_ops"]:
         print(f"  undecided op {index} ({name or 'seeded'}): {status}")
@@ -162,7 +215,7 @@ def end_to_end(workload: str, seed: int, seconds: float, workdir: str) -> dict:
 def traced(workload: str, seed: int, seconds: float, workdir: str) -> dict:
     """Per-layer metrics: the ops of an untraced run, replayed traced."""
     plain = run_child(workload, seed, max(seconds / 2, 1.0), workdir, 0)
-    spans = run_child(workload, seed, 0, workdir, 1, ops=len(plain["ops"]))
+    spans = run_child(workload, seed, 0, workdir, 1, ops=sum(r["copy"] == 0 for r in plain["ops"]))
     verdicts = [(op["status"], op["verdict"]) for op in plain["ops"]]
     traced_verdicts = [(op["status"], op["verdict"]) for op in spans["ops"]]
     same = verdicts == traced_verdicts
@@ -173,7 +226,7 @@ def traced(workload: str, seed: int, seconds: float, workdir: str) -> dict:
     metrics = {name: tuple(v) for name, v in spans["per_layer"].items()}
     metrics["trace.overhead_s"] = (spans["busy_s"] - plain["busy_s"], "s")
     print(
-        f"{workload} traced: {len(spans['ops'])} ops, {spans['spans']['count']} spans "
+        f"{workload} traced: {len(spans['ops'])} copies run, {spans['spans']['count']} spans "
         f"in {spans['spans']['path']}, overhead {spans['busy_s'] - plain['busy_s']:.3f} s "
         f"over {plain['busy_s']:.3f} s untraced, verdicts identical: {same}"
     )
@@ -204,13 +257,17 @@ def main() -> int:
             summaries = [r["summary"] for r in results]
             per_workload = [r["metrics"] for r in results]
         else:
-            setup = measure_setup(args.seed)
+            before = measure_setup(args.seed)
+            summaries = [end_to_end(w, args.seed, args.seconds, workdir) for w in workloads]
+            after = measure_setup(args.seed)
+            raw, refs = before[0] + after[0], before[1] + after[1]
+            setup = [value * REFERENCE_MS / ref for value, ref in zip(raw, refs)]
             q1, _, q3 = statistics.quantiles(setup, n=4)
             print(
-                f"setup: import rccs.cli median {statistics.median(setup):.4f} s, "
-                f"quartiles {q1:.4f}..{q3:.4f} s over {len(setup)} fresh interpreters"
+                f"setup: import rccs.cli median {statistics.median(setup):.4f} s scaled, "
+                f"quartiles {q1:.4f}..{q3:.4f} s, {statistics.median(raw):.4f} s raw, "
+                f"over {len(setup)} fresh interpreters"
             )
-            summaries = [end_to_end(w, args.seed, args.seconds, workdir) for w in workloads]
             correct = all(not s["wrong_ops"] for s in summaries)
             per_workload = [s["metrics"] for s in summaries]
     except BenchError as exc:
@@ -233,7 +290,7 @@ def main() -> int:
             {
                 "correct": correct,
                 "attempted": sum(s["attempted"] for s in summaries),
-                "failed": sum(s["attempted"] - s["decided"] for s in summaries),
+                "failed": sum(s["failed"] for s in summaries),
                 "metrics": as_json_metrics(metrics),
             }
         )

@@ -46,7 +46,7 @@ def _corpus(seed: int) -> list:
 def _pairs(draw, workload: str):
     for seed in SEEDS:
         for i in range(COUNT):
-            yield draw(corpus._rng(workload, seed, "run", i), i)
+            yield draw(corpus._shape_rng(workload, "run", i), corpus._rng(workload, seed, "run", i), i)
 
 
 def test_one_seed_gives_one_corpus():
@@ -72,6 +72,28 @@ def test_corpus_does_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1] == json.dumps(_corpus(7)) + "\n"
 
 
+def test_seeds_share_templates():
+    """Seeds permute names and draw rewrites; the shapes stay."""
+    for index in range(COUNT):
+        one, other = (corpus.operation("build", seed, index) for seed in (7, 8))
+        assert (one["events"], one["configs"]) == (other["events"], other["configs"])
+
+
+def _names(op: dict) -> set[str]:
+    text = " ".join(str(op.get(key, "")) for key in ("term", "p", "q", "process", "trace"))
+    return set(re.findall(r"[a-z][a-z0-9_]*_[a-z0-9]+", text))
+
+
+def test_copies_are_renamings_on_names_of_their_own():
+    for workload in corpus.WORKLOADS:
+        for index in range(COUNT):
+            copies = [corpus.operation(workload, 7, index, copy=c) for c in (0, 1)]
+            assert json.dumps(copies[0]).replace("_0", "_1") == json.dumps(copies[1])
+            assert _names(copies[0]) and not _names(copies[0]) & _names(copies[1])
+            warmup = corpus.operation(workload, 7, index, "warmup")
+            assert not _names(warmup) & _names(copies[0])
+
+
 def test_timed_stream_opens_with_the_fixed_cases():
     for workload, fixed in corpus.FIXED.items():
         for index, (name, _, _) in enumerate(fixed):
@@ -88,7 +110,7 @@ def test_every_pair_is_a_variant_or_a_valid_mutant(draw, workload):
     for p, q, expect in _pairs(draw, workload):
         kinds.add(expect)
         if expect == "equivalent":
-            assert _canon(p) == _canon(q)
+            assert _canon(p) == _canon(q) and corpus.fmt(p) != corpus.fmt(q)
             continue
         names = corpus.restricted_names(p)
         assert corpus.restricted_names(q) == names
@@ -147,6 +169,7 @@ def test_build_terms_stay_in_range():
     for seed in SEEDS:
         for i in range(COUNT):
             term = corpus.draw_build_term(corpus._rng("build", seed, "run", i), i)
+            term, = corpus.shuffled_names([term], random.Random(seed))
             assert 4 <= len(corpus.events(term)) <= corpus.EVENT_CAP
             if corpus._overflow(i):
                 assert corpus.overflows_intermediate(term)
@@ -157,7 +180,7 @@ def test_build_terms_stay_in_range():
 def test_walks_are_singly_labelled_and_traces_well_formed():
     rng = random.Random(3)
     for i in range(COUNT):
-        term, process, trace, ids = corpus.draw_walk(rng, i)
+        term, process, trace, ids = corpus.draw_walk(rng, rng, i)
         names = [corpus.name_of(label) for label in corpus.events(term)]
         assert len(names) == len(set(names)) and corpus.sync_free(term)
         assert len(set(re.findall(r"<(\d+),", process))) == ids

@@ -2,8 +2,13 @@
 
 Run by run.py with ``PYTHONPATH=src``. Every operation goes through
 ``rccs.cli.run``; the next starts when the previous returns. Each
-operation gets LIMIT_S seconds, enforced by SIGALRM in this process. The
-last line of stdout is a JSON report of every operation.
+operation gets LIMIT_S seconds, enforced by SIGALRM in this process.
+
+Every operation decided in the first round runs again, renamed, in
+COPIES - 1 further rounds; run.py takes the least time over its copies,
+so that a pause of the host or of the garbage collector in one copy
+does not count. Before each copy the reference loop (reference.py) is
+timed. The last line of stdout is a JSON report of every copy run.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import time
 import traceback
 
 import corpus
+from reference import reference_ms
 
 from rccs import cli
 from rccs import structures
@@ -31,6 +37,9 @@ LIMIT_S = 3.0
 # same time, should not be charged for the larger caches they fill.
 MIN_OPS = 100
 WARMUP_OPS = 5
+# Copies per operation; congruence operations are slow enough that three
+# copies of MIN_OPS operations would not fit a run.
+COPIES = {"build": 3, "equiv": 3, "congruence": 2, "walk": 3}
 
 DECIDED, WRONG, REFUSED, TIMED_OUT, CRASHED = (
     "decided",
@@ -234,12 +243,6 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _finished(args, done: int, busy: float) -> bool:
-    if args.ops is not None:
-        return done >= args.ops
-    return busy >= args.seconds and (done >= MIN_OPS or busy >= 2 * args.seconds)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -252,6 +255,7 @@ def main() -> None:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--workdir", required=True)
     args = parser.parse_args()
+    copies = COPIES[args.workload]
 
     signal.signal(signal.SIGALRM, _alarm)
     for index in range(WARMUP_OPS):
@@ -264,31 +268,63 @@ def main() -> None:
         tracer = tracing.Tracer()
         tracer.install()
     records = []
-    busy = 0.0
+    busy = {DECIDED: 0.0, "undecided": 0.0}
     peak_rss_mb = None
+
+    def run_copy(index: int, copy: int) -> str:
+        op = corpus.operation(args.workload, args.seed, index, copy=copy)
+        ref_ms = reference_ms()
+        started = time.perf_counter()
+        if tracer is not None:
+            tracer.begin_op(len(records))
+        status, elapsed, verdict, detail = run_op(args.workload, op, args.workdir)
+        if tracer is not None and status == REFUSED:
+            tracer.op_refused(len(records))
+        busy[DECIDED if status == DECIDED else "undecided"] += elapsed
+        records.append(
+            {
+                "index": index,
+                "copy": copy,
+                "name": op["name"],
+                "status": status,
+                "seconds": elapsed,
+                "started": started,
+                "ref_ms": ref_ms,
+                "verdict": verdict,
+                "detail": detail,
+                "input": None if status == DECIDED else op,
+            }
+        )
+        return status
+
     try:
-        while not _finished(args, len(records), busy):
+        # The first round stops at the end of the period of templates
+        # whose end, with the copies still to come, lies nearest to
+        # filling the run; it holds at least one period.
+        decided = []
+        at_last_end = 0.0
+        while True:
             index = len(records)
-            op = corpus.operation(args.workload, args.seed, index)
-            if tracer is not None:
-                tracer.begin_op(index)
-            status, elapsed, verdict, detail = run_op(args.workload, op, args.workdir)
-            if tracer is not None and status == REFUSED:
-                tracer.op_refused(index)
-            busy += elapsed
-            records.append(
-                {
-                    "index": index,
-                    "name": op["name"],
-                    "status": status,
-                    "seconds": elapsed,
-                    "verdict": verdict,
-                    "detail": detail,
-                    "input": None if status == DECIDED else op,
-                }
-            )
+            if args.ops is not None:
+                if index >= args.ops:
+                    break
+            elif corpus.period_ends(args.workload, index):
+                expected = busy["undecided"] + copies * busy[DECIDED]
+                period, at_last_end = expected - at_last_end, expected
+                if index > len(corpus.FIXED[args.workload]) and (
+                    expected >= 2 * args.seconds
+                    or (index >= MIN_OPS and expected + period / 2 >= args.seconds)
+                ):
+                    break
+            if run_copy(index, 0) == DECIDED:
+                decided.append(index)
             if len(records) == MIN_OPS:
                 peak_rss_mb = _peak_rss_mb()
+        if peak_rss_mb is None:
+            peak_rss_mb = _peak_rss_mb()
+        for copy in range(1, copies):
+            for index in decided:
+                run_copy(index, copy)
     finally:
         if tracer is not None:
             tracer.uninstall()
@@ -298,8 +334,9 @@ def main() -> None:
         "seed": args.seed,
         "event_cap": event_cap() if callable(event_cap) else None,
         "limit_s": LIMIT_S,
-        "busy_s": busy,
-        "peak_rss_mb": peak_rss_mb or _peak_rss_mb(),
+        "copies": copies,
+        "busy_s": sum(busy.values()),
+        "peak_rss_mb": peak_rss_mb,
         "ops": records,
     }
     if tracer is not None:
