@@ -13,15 +13,7 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from .terms import (
-    HOLE,
-    ParseError,
-    Term,
-    all_names,
-    format_context,
-    format_term,
-    parse_term,
-)
+from .terms import ParseError, Term, format_term, parse_term
 from .machine import (
     NotCoherent,
     Process,
@@ -39,6 +31,7 @@ from .machine import (
 from .structures import (
     ConfStruct,
     EventCapExceeded,
+    _event_cap,
     event_names,
     from_json,
     to_dot,
@@ -49,16 +42,14 @@ from .encoding import NotSinglyLabelled, encode_ccs, encode_rccs, is_singly_labe
 from .equivalences import (
     TauEventInConfig,
     Verdict,
-    _enumerated_parallel_contexts,
     bounded_congruence,
     ccs_barbed_bisim,
+    congruence_contexts,
     cs_bfb_barbed_bisim,
-    discriminating_context,
     forw_backw_levels,
     hhpb,
     rccs_bfb_bisim,
 )
-from .terms import Label
 
 
 class _CliError(Exception):
@@ -77,33 +68,41 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="validate a term or process")
+    p.set_defaults(func=_cmd_parse)
     p.add_argument("input")
 
     p = sub.add_parser("fmt", help="pretty-print a term or process")
+    p.set_defaults(func=_cmd_fmt)
     p.add_argument("input")
 
     p = sub.add_parser("step", help="interactive stepper")
+    p.set_defaults(func=_cmd_step)
     p.add_argument("input")
 
     p = sub.add_parser("encode", help="encode into a configuration structure")
+    p.set_defaults(func=_cmd_encode)
     p.add_argument("input")
     p.add_argument("--rccs", action="store_true")
     p.add_argument("--format", choices=("json", "dot"), default="json")
 
     p = sub.add_parser("axioms", help="validate a structure file")
+    p.set_defaults(func=_cmd_axioms)
     p.add_argument("file")
 
     p = sub.add_parser("check", help="decide an equivalence")
+    p.set_defaults(func=_cmd_check)
     p.add_argument("kind", choices=("hhpb", "bfb", "barbed-ccs", "congruence"))
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--context-depth", type=int, default=2)
 
     p = sub.add_parser("levels", help="level-indexed approximation tables")
+    p.set_defaults(func=_cmd_levels)
     p.add_argument("left")
     p.add_argument("right")
 
     p = sub.add_parser("replay", help="replay a trace against a process")
+    p.set_defaults(func=_cmd_replay)
     p.add_argument("input")
     p.add_argument("tracefile")
 
@@ -220,10 +219,10 @@ def _memories(state: Process):
         yield from _memories(state.body)
 
 
-def _cmd_step(args, stdin) -> int:
+def _cmd_step(args) -> int:
     state = _load_process(args.input)
     _print_state(state)
-    for raw in stdin:
+    for raw in args.stdin:
         line = raw.strip()
         if not line:
             continue
@@ -324,30 +323,6 @@ def _cmd_axioms(args) -> int:
     return 0 if report.ok else 1
 
 
-def _congruence_contexts(p: Term, q: Term, depth: int):
-    avoid = all_names(p) | all_names(q)
-    contexts = [HOLE]
-    seen = {format_context(HOLE)}
-    for struct in (encode_ccs(p), encode_ccs(q)):
-        for x in struct.sorted_configs():
-            if not x or any(
-                not isinstance(struct.labels[e], Label) or struct.labels[e].is_tau
-                for e in x
-            ):
-                continue
-            context = discriminating_context(x, struct.labels, avoid)
-            key = format_context(context)
-            if key not in seen:
-                seen.add(key)
-                contexts.append(context)
-    for context in _enumerated_parallel_contexts(avoid, depth):
-        key = format_context(context)
-        if key not in seen:
-            seen.add(key)
-            contexts.append(context)
-    return contexts
-
-
 def _emit_verdict(verdict: Verdict) -> int:
     payload = {"verdict": verdict.outcome}
     if verdict.evidence is not None:
@@ -376,13 +351,16 @@ def _cmd_check(args) -> int:
             )
         p = _load_term(args.left)
         q = _load_term(args.right)
-        contexts = _congruence_contexts(p, q, args.context_depth)
+        try:
+            contexts = congruence_contexts(p, q, args.context_depth)
+        except EventCapExceeded:
+            raise
+        except ValueError as exc:
+            raise _CliError(str(exc), 2)
         return _emit_verdict(
             bounded_congruence(Thread((), p), Thread((), q), contexts)
         )
-    except EventCapExceeded as exc:
-        raise _CliError(str(exc), 1)
-    except TauEventInConfig as exc:
+    except (EventCapExceeded, TauEventInConfig) as exc:
         raise _CliError(str(exc), 1)
 
 
@@ -446,25 +424,12 @@ def _cmd_replay(args) -> int:
 
 
 def _dispatch(argv, stdin) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "parse":
-        return _cmd_parse(args)
-    if args.command == "fmt":
-        return _cmd_fmt(args)
-    if args.command == "step":
-        return _cmd_step(args, stdin)
-    if args.command == "encode":
-        return _cmd_encode(args)
-    if args.command == "axioms":
-        return _cmd_axioms(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "levels":
-        return _cmd_levels(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    raise _CliError(f"unknown command {args.command!r}", 2)
+    try:
+        _event_cap()
+    except ValueError as exc:
+        raise _CliError(str(exc), 2)
+    args = _build_parser().parse_args(argv, argparse.Namespace(stdin=stdin))
+    return args.func(args)
 
 
 def run(argv, stdin=None) -> tuple[int, str, str]:

@@ -51,6 +51,7 @@ from .structures import (
     parallel,
     prefix,
     remove_config,
+    residual,  # re-exported: the structure after executing a configuration
     restrict_name,
 )
 
@@ -243,11 +244,6 @@ def _address_step(
     new_match = dict(match)
     new_match[ident] = event
     return at | {event}, new_match
-
-
-def residual(c: ConfStruct, x) -> ConfStruct:
-    """The structure after executing configuration x."""
-    return remove_config(c, x)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,56 @@ class TripleRelation:
 
 
 # ---------------------------------------------------------------------------
+# The refinement game shared by every bisimulation checker
+
+
+def _refine(pairs: Iterable, challenges: Callable, refuted: Iterable = ()):
+    """Greatest fixpoint of a back-and-forth game by round-wise refinement.
+
+    ``challenges(pair)`` yields ``(move, answers)`` and is called again in
+    every round, so no challenge table is stored. A live pair falls in
+    round r when, at the start of round r, one of its challenges has no
+    live answer; pairs in ``refuted`` fall in round 0. Returns the live
+    set and, per fallen pair, ``(round, move, answers)`` of its first
+    unanswered challenge, keeping only the answers that are fallen pairs
+    (``move`` is None in round 0).
+    """
+    live = set(pairs)
+    live.difference_update(refuted)
+    removed = {pair: (0, None, []) for pair in refuted}
+    rounds = 0
+    while True:
+        rounds += 1
+        stale = []
+        for pair in live:
+            for move, answers in challenges(pair):
+                if not any(answer in live for answer in answers):
+                    fallen = [answer for answer in answers if answer in removed]
+                    stale.append((pair, move, fallen))
+                    break
+        if not stale:
+            return live, removed
+        for pair, move, answers in stale:
+            live.discard(pair)
+            removed[pair] = (rounds, move, answers)
+
+
+def _losing_line(removed: dict, start) -> list:
+    """The attacker's winning play from a fallen pair, as
+    ``(pair, move, answer)`` steps: each recorded challenge is answered by
+    the answer that fell earliest, the first in list order on ties, and
+    ``answer`` is None when the challenge had no answer among the pairs."""
+    line = []
+    pair = start
+    while pair is not None:
+        _, move, answers = removed[pair]
+        answer = min(answers, key=lambda p: removed[p][0], default=None)
+        line.append((pair, move, answer))
+        pair = answer
+    return line
+
+
+# ---------------------------------------------------------------------------
 # Matchings
 
 _EMPTY = frozenset()
@@ -192,100 +242,54 @@ def _all_triples(a: ConfStruct, b: ConfStruct, both_ways: bool) -> set:
     return triples
 
 
-def _hhpb_violation(triple, live: set, candidates: set, a: ConfStruct, b: ConfStruct):
-    """The first unanswerable move at this triple, or None.
-
-    Returns (side, direction, event, answers) where answers lists the
-    once-valid answering triples (all necessarily already removed).
-    """
-    x1, x2, f = triple
-    fwd = dict(f)
-    inv = {v: k for k, v in fwd.items()}
-    for e1, y1 in sorted(config_steps(a, x1), key=lambda s: _ekey(s[0])):
-        answers = [
-            (y1, y2, f | {(e1, e2)})
-            for e2, y2 in config_steps(b, x2)
-        ]
-        answers = [t for t in answers if t in candidates]
-        if not any(t in live for t in answers):
-            return (1, "forward", e1, answers)
-    for e2, y2 in sorted(config_steps(b, x2), key=lambda s: _ekey(s[0])):
-        answers = [
-            (y1, y2, f | {(e1, e2)})
-            for e1, y1 in config_steps(a, x1)
-        ]
-        answers = [t for t in answers if t in candidates]
-        if not any(t in live for t in answers):
-            return (2, "forward", e2, answers)
-    for e1, y1 in sorted(config_backsteps(a, x1), key=lambda s: _ekey(s[0])):
-        e2 = fwd[e1]
-        y2 = x2 - {e2}
-        answer = (y1, y2, f - {(e1, e2)})
-        answers = [answer] if y2 in b.configs and answer in candidates else []
-        if not any(t in live for t in answers):
-            return (1, "backward", e1, answers)
-    for e2, y2 in sorted(config_backsteps(b, x2), key=lambda s: _ekey(s[0])):
-        e1 = inv[e2]
-        y1 = x1 - {e1}
-        answer = (y1, y2, f - {(e1, e2)})
-        answers = [answer] if y1 in a.configs and answer in candidates else []
-        if not any(t in live for t in answers):
-            return (2, "backward", e2, answers)
-    return None
-
-
-def _losing_play(removed: dict, root, names1: dict, names2: dict, a, b) -> list:
-    play = []
-    triple = root
-    while True:
-        _, (side, direction, event, answers) = removed[triple]
-        struct, names = (a, names1) if side == 1 else (b, names2)
-        move = {
-            "side": side,
-            "direction": direction,
-            "event": names[event],
-            "label": str(struct.labels[event]),
-        }
-        answered = [(removed[t][0], t) for t in answers]
-        if not answered:
-            move["answer"] = None
-            play.append(move)
-            return play
-        _, best = min(answered, key=lambda item: item[0])
-        ox1, ox2, _ = triple
-        nx1, nx2, _ = best
-        answer_event = next(iter((nx2 ^ ox2) if side == 1 else (nx1 ^ ox1)))
-        other_names = names2 if side == 1 else names1
-        move["answer"] = other_names[answer_event]
-        play.append(move)
-        triple = best
+def _step_key(step) -> tuple:
+    return _ekey(step[0])
 
 
 def hhpb(a: ConfStruct, b: ConfStruct) -> Verdict:
     """Hereditary history preserving bisimilarity by fixpoint refinement."""
     candidates = _all_triples(a, b, both_ways=False)
-    live = set(candidates)
-    removed: dict = {}
-    rounds = 0
-    while True:
-        rounds += 1
-        stale = []
-        for triple in live:
-            reason = _hhpb_violation(triple, live, candidates, a, b)
-            if reason is not None:
-                stale.append((triple, reason))
-        if not stale:
-            break
-        for triple, reason in stale:
-            live.discard(triple)
-            removed[triple] = (rounds, reason)
+
+    def challenges(triple):
+        x1, x2, f = triple
+        steps1, steps2 = config_steps(a, x1), config_steps(b, x2)
+        for e1, y1 in sorted(steps1, key=_step_key):
+            yield (1, "forward", e1), [(y1, y2, f | {(e1, e2)}) for e2, y2 in steps2]
+        for e2, y2 in sorted(steps2, key=_step_key):
+            yield (2, "forward", e2), [(y1, y2, f | {(e1, e2)}) for e1, y1 in steps1]
+        image = dict(f)
+        for e1, y1 in sorted(config_backsteps(a, x1), key=_step_key):
+            e2 = image[e1]
+            yield (1, "backward", e1), [(y1, x2 - {e2}, f - {(e1, e2)})]
+        preimage = {e2: e1 for e1, e2 in f}
+        for e2, y2 in sorted(config_backsteps(b, x2), key=_step_key):
+            e1 = preimage[e2]
+            yield (2, "backward", e2), [(x1 - {e1}, y2, f - {(e1, e2)})]
+
+    live, removed = _refine(candidates, challenges)
     if _ROOT in live:
         return Verdict("equivalent", witness=TripleRelation(frozenset(live)))
     if _ROOT not in candidates:
         return Verdict(
             "distinguished", evidence={"reason": "no root triple", "play": []}
         )
-    play = _losing_play(removed, _ROOT, event_names(a), event_names(b), a, b)
+    structs = (a, b)
+    names = (event_names(a), event_names(b))
+    play = []
+    for (_, _, f), (side, direction, event), answer in _losing_line(removed, _ROOT):
+        move = {
+            "side": side,
+            "direction": direction,
+            "event": names[side - 1][event],
+            "label": str(structs[side - 1].labels[event]),
+            "answer": None,
+        }
+        if answer is not None:
+            # The answer adds or drops exactly one matched pair; its
+            # other-side event is the defender's move.
+            (matched,) = answer[2] ^ f
+            move["answer"] = names[2 - side][matched[2 - side]]
+        play.append(move)
     return Verdict("distinguished", evidence={"play": play})
 
 
@@ -383,91 +387,72 @@ def forw_backw_levels(a: ConfStruct, b: ConfStruct) -> LevelFamilies:
 
 
 # ---------------------------------------------------------------------------
-# Generic barbed pair refinement
+# Barbed bisimulations
 
 
-def _pair_refine(
-    states1: Iterable,
-    states2: Iterable,
-    moves1: dict,
-    moves2: dict,
-    obs1: dict,
-    obs2: dict,
-    start: tuple,
-    render1: Callable,
-    render2: Callable,
-) -> Verdict:
+def _barbed_bisim(side1: tuple, side2: tuple, start: tuple) -> Verdict:
     """Greatest symmetric relation matching observations and, per move
-    kind, simulating moves in both directions."""
-    removed: dict = {}
-    live = set()
-    for s in states1:
-        for t in states2:
-            if obs1[s] == obs2[t]:
-                live.add((s, t))
-            else:
-                removed[(s, t)] = (0, ("barb", None, None, []))
-    rounds = 0
-    while True:
-        rounds += 1
-        stale = []
-        for s, t in live:
-            reason = None
-            for kind in moves1[s]:
-                for s2 in moves1[s][kind]:
-                    answers = [(s2, t2) for t2 in moves2[t][kind]]
-                    if not any(p in live for p in answers):
-                        reason = (1, kind, s2, answers)
-                        break
-                if reason:
-                    break
-                for t2 in moves2[t][kind]:
-                    answers = [(s2, t2) for s2 in moves1[s][kind]]
-                    if not any(p in live for p in answers):
-                        reason = (2, kind, t2, answers)
-                        break
-                if reason:
-                    break
-            if reason:
-                stale.append(((s, t), reason))
-        if not stale:
-            break
-        for pair, reason in stale:
-            live.discard(pair)
-            removed[pair] = (rounds, reason)
+    kind, simulating moves in both directions.
+
+    Each side is ``(states, moves, barbs, render)``: ``moves(state)`` maps
+    each move kind to the successor states, ``barbs(state)`` is what an
+    observer sees, ``render(state)`` prints a state in evidence.
+    """
+    sides = (side1, side2)
+    # Terms and processes recompute their hashes on every lookup, so the
+    # game runs on each state's position in its side's list.
+    order = [list(states) for states, _, _, _ in sides]
+    number = [{s: i for i, s in enumerate(states)} for states in order]
+    succ = [
+        [{k: [num[x] for x in v] for k, v in moves(s).items()} for s in states]
+        for states, (_, moves, _, _), num in zip(order, sides, number)
+    ]
+    seen = [
+        [barbs(s) for s in states] for states, (_, _, barbs, _) in zip(order, sides)
+    ]
+    pairs = [(i, j) for i in range(len(order[0])) for j in range(len(order[1]))]
+
+    def challenges(pair):
+        i, j = pair
+        for kind in succ[0][i]:
+            for i2 in succ[0][i][kind]:
+                yield (1, kind, i2), [(i2, j2) for j2 in succ[1][j][kind]]
+            for j2 in succ[1][j][kind]:
+                yield (2, kind, j2), [(i2, j2) for i2 in succ[0][i][kind]]
+
+    live, removed = _refine(
+        pairs, challenges, [(i, j) for i, j in pairs if seen[0][i] != seen[1][j]]
+    )
+    start = (number[0][start[0]], number[1][start[1]])
+
+    def show(side: int, i: int) -> str:
+        return sides[side - 1][3](order[side - 1][i])
+
     if start in live:
-        witness = sorted(
-            (render1(s), render2(t)) for s, t in live
-        )
+        witness = sorted((show(1, i), show(2, j)) for i, j in live)
         return Verdict("equivalent", witness=witness)
-    path = []
-    pair = start
-    while True:
-        _, (side, kind, successor, answers) = removed[pair]
-        if side == "barb" or kind is None:
-            s, t = pair
-            path.append(
+    play = []
+    for (i, j), move, answer in _losing_line(removed, start):
+        if move is None:
+            play.append(
                 {
-                    "barbs_left": sorted(map(str, obs1[s])),
-                    "barbs_right": sorted(map(str, obs2[t])),
+                    "barbs_left": sorted(map(str, seen[0][i])),
+                    "barbs_right": sorted(map(str, seen[1][j])),
                 }
             )
-            break
-        step = {
-            "side": side,
-            "move": kind,
-            "to": render1(successor) if side == 1 else render2(successor),
-        }
-        answered = [(removed[p][0], p) for p in answers if p in removed]
-        if not answered:
-            step["answer"] = None
-            path.append(step)
-            break
-        _, best = min(answered, key=lambda item: item[0])
-        step["answer"] = render2(best[1]) if side == 1 else render1(best[0])
-        path.append(step)
-        pair = best
-    return Verdict("distinguished", evidence={"play": path})
+        else:
+            side, kind, successor = move
+            play.append(
+                {
+                    "side": side,
+                    "move": kind,
+                    "to": show(side, successor),
+                    "answer": None
+                    if answer is None
+                    else show(3 - side, answer[2 - side]),
+                }
+            )
+    return Verdict("distinguished", evidence={"play": play})
 
 
 def _closure(starts: Iterable, successors: Callable) -> set:
@@ -482,10 +467,6 @@ def _closure(starts: Iterable, successors: Callable) -> set:
     return seen
 
 
-# ---------------------------------------------------------------------------
-# Barbed bisimulations
-
-
 def ccs_barbed_bisim(p: Term, q: Term) -> Verdict:
     """Reduction-closed, barb-preserving bisimulation on CCS terms."""
     p0 = canonical_term(p)
@@ -496,16 +477,11 @@ def ccs_barbed_bisim(p: Term, q: Term) -> Verdict:
             canonical_term(d) for label, d in ccs_step(t) if label.is_tau
         )
 
-    states1 = _closure([p0], tau_succs)
-    states2 = _closure([q0], tau_succs)
-    moves1 = {s: {"tau": tau_succs(s)} for s in states1}
-    moves2 = {s: {"tau": tau_succs(s)} for s in states2}
-    obs1 = {s: barbs(s) for s in states1}
-    obs2 = {s: barbs(s) for s in states2}
-    return _pair_refine(
-        states1, states2, moves1, moves2, obs1, obs2, (p0, q0),
-        format_term, format_term,
-    )
+    def side(t0: Term) -> tuple:
+        states = _closure([t0], tau_succs)
+        return states, lambda t: {"tau": tau_succs(t)}, barbs, format_term
+
+    return _barbed_bisim(side(p0), side(q0), (p0, q0))
 
 
 def rccs_bfb_bisim(r: Process, s: Process) -> Verdict:
@@ -523,52 +499,40 @@ def rccs_bfb_bisim(r: Process, s: Process) -> Verdict:
             normal_form(t) for _, label, t in bwd_steps(state) if label.is_tau
         )
 
-    def both(state: Process):
-        return tau_fwd(state) | tau_bwd(state)
+    def side(start: Process) -> tuple:
+        def moves(st: Process) -> dict:
+            return {"tau+": tau_fwd(st), "tau-": tau_bwd(st)}
 
-    states1 = _closure([r0], both)
-    states2 = _closure([s0], both)
-    moves1 = {st: {"tau+": tau_fwd(st), "tau-": tau_bwd(st)} for st in states1}
-    moves2 = {st: {"tau+": tau_fwd(st), "tau-": tau_bwd(st)} for st in states2}
-    obs1 = {st: rccs_barbs(st) for st in states1}
-    obs2 = {st: rccs_barbs(st) for st in states2}
-    return _pair_refine(
-        states1, states2, moves1, moves2, obs1, obs2, (r0, s0),
-        format_process, format_process,
-    )
+        states = _closure([start], lambda st: tau_fwd(st) | tau_bwd(st))
+        return states, moves, rccs_barbs, format_process
+
+    return _barbed_bisim(side(r0), side(s0), (r0, s0))
 
 
 def cs_bfb_barbed_bisim(a: ConfStruct, b: ConfStruct) -> Verdict:
     """Back-and-forth barbed bisimulation on configurations."""
 
-    def renderer(struct: ConfStruct):
+    def side(struct: ConfStruct) -> tuple:
         names = event_names(struct)
-        return lambda x: "{" + ",".join(sorted(names[e] for e in x)) + "}"
 
-    def tau_fwd(struct: ConfStruct):
-        return lambda x: frozenset(
-            y
-            for e, y in config_steps(struct, x)
-            if isinstance(struct.labels[e], Label) and struct.labels[e].is_tau
+        def tau(steps) -> frozenset:
+            return frozenset(
+                y
+                for e, y in steps
+                if isinstance(struct.labels[e], Label) and struct.labels[e].is_tau
+            )
+
+        return (
+            struct.configs,
+            lambda x: {
+                "tau+": tau(config_steps(struct, x)),
+                "tau-": tau(config_backsteps(struct, x)),
+            },
+            lambda x: barbs_at(struct, x),
+            lambda x: "{" + ",".join(sorted(names[e] for e in x)) + "}",
         )
 
-    def tau_bwd(struct: ConfStruct):
-        return lambda x: frozenset(
-            y
-            for e, y in config_backsteps(struct, x)
-            if isinstance(struct.labels[e], Label) and struct.labels[e].is_tau
-        )
-
-    fwd1, bwd1 = tau_fwd(a), tau_bwd(a)
-    fwd2, bwd2 = tau_fwd(b), tau_bwd(b)
-    moves1 = {x: {"tau+": fwd1(x), "tau-": bwd1(x)} for x in a.configs}
-    moves2 = {x: {"tau+": fwd2(x), "tau-": bwd2(x)} for x in b.configs}
-    obs1 = {x: barbs_at(a, x) for x in a.configs}
-    obs2 = {x: barbs_at(b, x) for x in b.configs}
-    return _pair_refine(
-        a.configs, b.configs, moves1, moves2, obs1, obs2,
-        (_EMPTY, _EMPTY), renderer(a), renderer(b),
-    )
+    return _barbed_bisim(side(a), side(b), (_EMPTY, _EMPTY))
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +606,28 @@ def _enumerated_parallel_contexts(names: Iterable[str], depth: int) -> list:
     return contexts
 
 
+def congruence_contexts(p: Term, q: Term, depth: int) -> list[CcsContext]:
+    """The contexts a bounded congruence check of p and q runs under: the
+    hole, a discriminating context per non-empty configuration without
+    tau events in either encoding, then every parallel composition of
+    up to ``depth`` observer prefixes, without repeats."""
+    if depth < 0:
+        raise ValueError(f"context depth must be at least 0, got {depth}")
+    avoid = all_names(p) | all_names(q)
+    contexts = {format_context(HOLE): HOLE}
+    for struct in (encode_ccs(p), encode_ccs(q)):
+        for x in struct.sorted_configs():
+            if x and all(
+                isinstance(struct.labels[e], Label) and not struct.labels[e].is_tau
+                for e in x
+            ):
+                context = discriminating_context(x, struct.labels, avoid)
+                contexts.setdefault(format_context(context), context)
+    for context in _enumerated_parallel_contexts(avoid, depth):
+        contexts.setdefault(format_context(context), context)
+    return list(contexts.values())
+
+
 @dataclass
 class MainTheoremReport:
     hhpb: Verdict
@@ -667,32 +653,11 @@ def main_theorem_check(p: Term, q: Term, depth_bound: int = 2) -> MainTheoremRep
     The correspondence is only guaranteed for singly labelled terms; the
     report records whether that precondition held.
     """
-    singly = is_singly_labelled(p) and is_singly_labelled(q)
     cp = encode_ccs(p)
     cq = encode_ccs(q)
+    singly = is_singly_labelled(cp) and is_singly_labelled(cq)
     verdict = hhpb(cp, cq)
-    avoid = all_names(p) | all_names(q)
-    contexts: list[CcsContext] = [HOLE]
-    seen = {format_context(HOLE)}
-    for struct in (cp, cq):
-        for x in struct.sorted_configs():
-            if not x:
-                continue
-            if any(
-                not isinstance(struct.labels[e], Label) or struct.labels[e].is_tau
-                for e in x
-            ):
-                continue
-            context = discriminating_context(x, struct.labels, avoid)
-            key = format_context(context)
-            if key not in seen:
-                seen.add(key)
-                contexts.append(context)
-    for context in _enumerated_parallel_contexts(avoid, depth_bound):
-        key = format_context(context)
-        if key not in seen:
-            seen.add(key)
-            contexts.append(context)
+    contexts = congruence_contexts(p, q, depth_bound)
     congruence = bounded_congruence(
         Thread((), p), Thread((), q), contexts
     )

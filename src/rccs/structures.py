@@ -47,9 +47,12 @@ ZERO = _Zero()
 def _event_cap() -> int:
     raw = os.environ.get("RCCS_EVENT_CAP", "16")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return 16
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"RCCS_EVENT_CAP must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def _ekey(value) -> tuple:
@@ -83,8 +86,9 @@ class ConfStruct:
         labels: Mapping,
     ):
         self.events = frozenset(events)
-        cap = _event_cap()
-        if len(self.events) > cap:
+        # No cap is below 0 events, so the empty structure built at import
+        # time never reads the cap and a bad one is reported at first use.
+        if self.events and len(self.events) > (cap := _event_cap()):
             raise EventCapExceeded(
                 f"{len(self.events)} events exceed the cap of {cap}"
             )
@@ -542,9 +546,7 @@ def _label_str(label) -> str:
 
 
 def to_json(c: ConfStruct, extra: dict | None = None) -> str:
-    names = {e: _event_id_str(e) for e in c.events}
-    if len(set(names.values())) != len(names):
-        names = {e: f"e{i}" for i, e in enumerate(c.sorted_events())}
+    names = event_names(c)
     payload = {
         "events": [
             {"id": names[e], "label": _label_str(c.labels[e])}
@@ -576,6 +578,8 @@ def from_json(text: str) -> ConfStruct:
     labels = {}
     for entry in payload.get("events", []):
         ident = entry["id"]
+        if ident in labels:
+            raise ValueError(f"duplicate event id {ident!r}")
         events.append(ident)
         labels[ident] = parse_label(entry["label"])
     configs = [frozenset(x) for x in payload.get("configs", [])]

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import rccs
 from rccs.cli import run
 from rccs.structures import from_json, iso
 from rccs.encoding import encode_ccs
@@ -122,6 +128,19 @@ def test_axioms_valid_structure(tmp_path):
     assert json.loads(out)["valid"] is True
 
 
+def test_axioms_duplicate_event_ids_exit_2(tmp_path):
+    dup = {
+        "events": [{"id": "x", "label": "a"}, {"id": "x", "label": "b"}],
+        "configs": [[], ["x"]],
+    }
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(dup))
+    code, out, err = run(["axioms", str(path)])
+    assert code == 2
+    assert not out
+    assert err.startswith("bad structure JSON:") and "'x'" in err
+
+
 def test_axioms_missing_file_exit_2():
     code, _, err = run(["axioms", "/nonexistent/file.json"])
     assert code == 2
@@ -174,6 +193,15 @@ def test_check_congruence_bounded_equivalent():
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "bounded-equivalent"
+
+
+def test_check_congruence_negative_depth_exit_2():
+    code, out, err = run(
+        ["check", "congruence", "a", "b", "--context-depth", "-1"]
+    )
+    assert code == 2
+    assert not out
+    assert len(err.strip().splitlines()) == 1 and "depth" in err
 
 
 def test_levels_tables():
@@ -258,3 +286,27 @@ def test_step_out_of_range_transition():
     code, _, err = run(["step", "{} |> a"], "do 7\nquit\n")
     assert code == 0
     assert "no such transition" in err
+
+
+# ---------------------------------------------------------------------------
+# environment
+
+
+@pytest.mark.parametrize(
+    "cap, argv", [("abc", ["parse", "a"]), ("-3", ["encode", "0"])]
+)
+def test_bad_event_cap_exit_2(cap, argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rccs.__file__)))
+    env = dict(os.environ, RCCS_EVENT_CAP=cap, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "rccs.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert not done.stdout
+    assert done.stderr.strip().splitlines() == [
+        f"RCCS_EVENT_CAP must be a non-negative integer, got {cap!r}"
+    ]

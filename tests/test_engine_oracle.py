@@ -1,0 +1,473 @@
+"""Differential test of the shared refinement engine.
+
+The reference below is the earlier implementation, in which HHPB and the
+barbed bisimulations each ran their own round-wise refinement loop and
+losing-play walk. On a seeded corpus of term pairs the engine-based
+checkers must return the same verdicts, witnesses and evidence plays,
+and every HHPB losing play must replay as a win for the attacker.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Callable, Iterable
+
+from rccs.terms import (
+    Label,
+    NIL,
+    Par,
+    Res,
+    Sum,
+    Term,
+    barbs,
+    canonical_term,
+    ccs_step,
+    format_term,
+)
+from rccs.machine import (
+    Process,
+    Thread,
+    bwd_steps,
+    format_process,
+    fwd_steps,
+    normal_form,
+    rccs_barbs,
+)
+from rccs.structures import (
+    ConfStruct,
+    EventCapExceeded,
+    _ekey,
+    barbs_at,
+    config_backsteps,
+    config_steps,
+    event_names,
+)
+from rccs.encoding import encode_ccs
+from rccs.equivalences import (
+    TripleRelation,
+    Verdict,
+    _all_triples,
+    _closure,
+    ccs_barbed_bisim,
+    cs_bfb_barbed_bisim,
+    hhpb,
+    matchings,
+    rccs_bfb_bisim,
+)
+
+from generators import random_term
+
+_ROOT = (frozenset(), frozenset(), frozenset())
+
+
+# ---------------------------------------------------------------------------
+# Reference: HHPB with its own violation scan, loop and play walk
+
+
+def _ref_hhpb_violation(triple, live, candidates, a, b):
+    x1, x2, f = triple
+    fwd = dict(f)
+    inv = {v: k for k, v in fwd.items()}
+    for e1, y1 in sorted(config_steps(a, x1), key=lambda s: _ekey(s[0])):
+        answers = [(y1, y2, f | {(e1, e2)}) for e2, y2 in config_steps(b, x2)]
+        answers = [t for t in answers if t in candidates]
+        if not any(t in live for t in answers):
+            return (1, "forward", e1, answers)
+    for e2, y2 in sorted(config_steps(b, x2), key=lambda s: _ekey(s[0])):
+        answers = [(y1, y2, f | {(e1, e2)}) for e1, y1 in config_steps(a, x1)]
+        answers = [t for t in answers if t in candidates]
+        if not any(t in live for t in answers):
+            return (2, "forward", e2, answers)
+    for e1, y1 in sorted(config_backsteps(a, x1), key=lambda s: _ekey(s[0])):
+        e2 = fwd[e1]
+        y2 = x2 - {e2}
+        answer = (y1, y2, f - {(e1, e2)})
+        answers = [answer] if y2 in b.configs and answer in candidates else []
+        if not any(t in live for t in answers):
+            return (1, "backward", e1, answers)
+    for e2, y2 in sorted(config_backsteps(b, x2), key=lambda s: _ekey(s[0])):
+        e1 = inv[e2]
+        y1 = x1 - {e1}
+        answer = (y1, y2, f - {(e1, e2)})
+        answers = [answer] if y1 in a.configs and answer in candidates else []
+        if not any(t in live for t in answers):
+            return (2, "backward", e2, answers)
+    return None
+
+
+def _ref_losing_play(removed, root, names1, names2, a, b):
+    play = []
+    triple = root
+    while True:
+        _, (side, direction, event, answers) = removed[triple]
+        struct, names = (a, names1) if side == 1 else (b, names2)
+        move = {
+            "side": side,
+            "direction": direction,
+            "event": names[event],
+            "label": str(struct.labels[event]),
+        }
+        answered = [(removed[t][0], t) for t in answers]
+        if not answered:
+            move["answer"] = None
+            play.append(move)
+            return play
+        _, best = min(answered, key=lambda item: item[0])
+        ox1, ox2, _ = triple
+        nx1, nx2, _ = best
+        answer_event = next(iter((nx2 ^ ox2) if side == 1 else (nx1 ^ ox1)))
+        other_names = names2 if side == 1 else names1
+        move["answer"] = other_names[answer_event]
+        play.append(move)
+        triple = best
+
+
+def ref_hhpb(a: ConfStruct, b: ConfStruct) -> Verdict:
+    candidates = _all_triples(a, b, both_ways=False)
+    live = set(candidates)
+    removed: dict = {}
+    rounds = 0
+    while True:
+        rounds += 1
+        stale = []
+        for triple in live:
+            reason = _ref_hhpb_violation(triple, live, candidates, a, b)
+            if reason is not None:
+                stale.append((triple, reason))
+        if not stale:
+            break
+        for triple, reason in stale:
+            live.discard(triple)
+            removed[triple] = (rounds, reason)
+    if _ROOT in live:
+        return Verdict("equivalent", witness=TripleRelation(frozenset(live)))
+    if _ROOT not in candidates:
+        return Verdict(
+            "distinguished", evidence={"reason": "no root triple", "play": []}
+        )
+    play = _ref_losing_play(removed, _ROOT, event_names(a), event_names(b), a, b)
+    return Verdict("distinguished", evidence={"play": play})
+
+
+# ---------------------------------------------------------------------------
+# Reference: barbed pair refinement with its own loop and play walk
+
+
+def _ref_pair_refine(
+    states1: Iterable,
+    states2: Iterable,
+    moves1: dict,
+    moves2: dict,
+    obs1: dict,
+    obs2: dict,
+    start: tuple,
+    render1: Callable,
+    render2: Callable,
+) -> Verdict:
+    removed: dict = {}
+    live = set()
+    for s in states1:
+        for t in states2:
+            if obs1[s] == obs2[t]:
+                live.add((s, t))
+            else:
+                removed[(s, t)] = (0, ("barb", None, None, []))
+    rounds = 0
+    while True:
+        rounds += 1
+        stale = []
+        for s, t in live:
+            reason = None
+            for kind in moves1[s]:
+                for s2 in moves1[s][kind]:
+                    answers = [(s2, t2) for t2 in moves2[t][kind]]
+                    if not any(p in live for p in answers):
+                        reason = (1, kind, s2, answers)
+                        break
+                if reason:
+                    break
+                for t2 in moves2[t][kind]:
+                    answers = [(s2, t2) for s2 in moves1[s][kind]]
+                    if not any(p in live for p in answers):
+                        reason = (2, kind, t2, answers)
+                        break
+                if reason:
+                    break
+            if reason:
+                stale.append(((s, t), reason))
+        if not stale:
+            break
+        for pair, reason in stale:
+            live.discard(pair)
+            removed[pair] = (rounds, reason)
+    if start in live:
+        witness = sorted((render1(s), render2(t)) for s, t in live)
+        return Verdict("equivalent", witness=witness)
+    path = []
+    pair = start
+    while True:
+        _, (side, kind, successor, answers) = removed[pair]
+        if side == "barb" or kind is None:
+            s, t = pair
+            path.append(
+                {
+                    "barbs_left": sorted(map(str, obs1[s])),
+                    "barbs_right": sorted(map(str, obs2[t])),
+                }
+            )
+            break
+        step = {
+            "side": side,
+            "move": kind,
+            "to": render1(successor) if side == 1 else render2(successor),
+        }
+        answered = [(removed[p][0], p) for p in answers if p in removed]
+        if not answered:
+            step["answer"] = None
+            path.append(step)
+            break
+        _, best = min(answered, key=lambda item: item[0])
+        step["answer"] = render2(best[1]) if side == 1 else render1(best[0])
+        path.append(step)
+        pair = best
+    return Verdict("distinguished", evidence={"play": path})
+
+
+def ref_ccs_barbed_bisim(p: Term, q: Term) -> Verdict:
+    p0 = canonical_term(p)
+    q0 = canonical_term(q)
+
+    def tau_succs(t: Term) -> frozenset:
+        return frozenset(
+            canonical_term(d) for label, d in ccs_step(t) if label.is_tau
+        )
+
+    states1 = _closure([p0], tau_succs)
+    states2 = _closure([q0], tau_succs)
+    moves1 = {s: {"tau": tau_succs(s)} for s in states1}
+    moves2 = {s: {"tau": tau_succs(s)} for s in states2}
+    obs1 = {s: barbs(s) for s in states1}
+    obs2 = {s: barbs(s) for s in states2}
+    return _ref_pair_refine(
+        states1, states2, moves1, moves2, obs1, obs2, (p0, q0),
+        format_term, format_term,
+    )
+
+
+def ref_rccs_bfb_bisim(r: Process, s: Process) -> Verdict:
+    r0 = normal_form(r)
+    s0 = normal_form(s)
+
+    def tau_fwd(state: Process) -> frozenset:
+        return frozenset(
+            normal_form(t) for _, label, t in fwd_steps(state) if label.is_tau
+        )
+
+    def tau_bwd(state: Process) -> frozenset:
+        return frozenset(
+            normal_form(t) for _, label, t in bwd_steps(state) if label.is_tau
+        )
+
+    def both(state: Process):
+        return tau_fwd(state) | tau_bwd(state)
+
+    states1 = _closure([r0], both)
+    states2 = _closure([s0], both)
+    moves1 = {st: {"tau+": tau_fwd(st), "tau-": tau_bwd(st)} for st in states1}
+    moves2 = {st: {"tau+": tau_fwd(st), "tau-": tau_bwd(st)} for st in states2}
+    obs1 = {st: rccs_barbs(st) for st in states1}
+    obs2 = {st: rccs_barbs(st) for st in states2}
+    return _ref_pair_refine(
+        states1, states2, moves1, moves2, obs1, obs2, (r0, s0),
+        format_process, format_process,
+    )
+
+
+def ref_cs_bfb_barbed_bisim(a: ConfStruct, b: ConfStruct) -> Verdict:
+    def renderer(struct: ConfStruct):
+        names = event_names(struct)
+        return lambda x: "{" + ",".join(sorted(names[e] for e in x)) + "}"
+
+    def tau_fwd(struct: ConfStruct):
+        return lambda x: frozenset(
+            y
+            for e, y in config_steps(struct, x)
+            if isinstance(struct.labels[e], Label) and struct.labels[e].is_tau
+        )
+
+    def tau_bwd(struct: ConfStruct):
+        return lambda x: frozenset(
+            y
+            for e, y in config_backsteps(struct, x)
+            if isinstance(struct.labels[e], Label) and struct.labels[e].is_tau
+        )
+
+    fwd1, bwd1 = tau_fwd(a), tau_bwd(a)
+    fwd2, bwd2 = tau_fwd(b), tau_bwd(b)
+    moves1 = {x: {"tau+": fwd1(x), "tau-": bwd1(x)} for x in a.configs}
+    moves2 = {x: {"tau+": fwd2(x), "tau-": bwd2(x)} for x in b.configs}
+    obs1 = {x: barbs_at(a, x) for x in a.configs}
+    obs2 = {x: barbs_at(b, x) for x in b.configs}
+    return _ref_pair_refine(
+        a.configs, b.configs, moves1, moves2, obs1, obs2,
+        (frozenset(), frozenset()), renderer(a), renderer(b),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Corpus
+
+
+def _shuffled(rng: random.Random, term: Term) -> Term:
+    """A structurally congruent copy: parallel operands and sum branches
+    in a random order."""
+    if isinstance(term, Par):
+        left, right = _shuffled(rng, term.left), _shuffled(rng, term.right)
+        return Par(right, left) if rng.random() < 0.5 else Par(left, right)
+    if isinstance(term, Sum):
+        branches = [(label, _shuffled(rng, cont)) for label, cont in term.branches]
+        rng.shuffle(branches)
+        return Sum(tuple(branches))
+    if isinstance(term, Res):
+        return Res(_shuffled(rng, term.body), term.name)
+    return term
+
+
+def _mutated(rng: random.Random, term: Term, depth: int = 0) -> Term:
+    """A copy with one prefix below the top level flipped in polarity,
+    so that the initial barbs usually survive and a difference shows
+    only after some moves."""
+    if isinstance(term, Par):
+        if rng.random() < 0.5:
+            return Par(_mutated(rng, term.left, depth), term.right)
+        return Par(term.left, _mutated(rng, term.right, depth))
+    if isinstance(term, Res):
+        return Res(_mutated(rng, term.body, depth), term.name)
+    if isinstance(term, Sum):
+        branches = list(term.branches)
+        i = rng.randrange(len(branches))
+        label, cont = branches[i]
+        if depth > 0 and (cont == NIL or rng.random() < 0.5):
+            flipped = Label("out" if label.kind == "in" else "in", label.name)
+            branches[i] = (flipped, cont)
+        else:
+            branches[i] = (label, _mutated(rng, cont, depth + 1))
+        return Sum(tuple(branches))
+    return term
+
+
+def _corpus(seed: int, count: int) -> list[tuple[Term, Term]]:
+    """Pairs over two names, so that labels repeat and synchronise: a
+    quarter congruent copies, half deep mutants of a copy, a quarter
+    unrelated terms. Half the left terms are parallel compositions,
+    whose synchronisations give the barbed checkers longer plays."""
+    rng = random.Random(seed)
+    alphabet = ["a", "b"]
+    pairs = []
+    while len(pairs) < count:
+        if rng.random() < 0.5:
+            p = random_term(rng, max_prefixes=5, alphabet=alphabet)
+        else:
+            p = Par(
+                random_term(rng, max_prefixes=3, alphabet=alphabet),
+                random_term(rng, max_prefixes=3, alphabet=alphabet),
+            )
+        roll = rng.random()
+        if roll < 0.25:
+            q = _shuffled(rng, p)
+        elif roll < 0.75:
+            q = _mutated(rng, _shuffled(rng, p))
+        else:
+            q = random_term(rng, max_prefixes=5, alphabet=alphabet)
+        pairs.append((p, q))
+    return pairs
+
+
+def _same(mine: Verdict, ref: Verdict):
+    assert mine.to_jsonable() == ref.to_jsonable()
+    assert mine.witness == ref.witness
+
+
+# ---------------------------------------------------------------------------
+# Replaying HHPB losing plays
+
+
+def _replay_losing_play(a: ConfStruct, b: ConfStruct, play: list):
+    """Check that the play is legal and that the defender is stuck at
+    its end: every answer is a legal move, keeps the label and leaves a
+    candidate triple, and the last challenge has no such answer."""
+    structs = (a, b)
+    by_name = [{v: k for k, v in event_names(s).items()} for s in structs]
+    state = [frozenset(), frozenset()]
+    f = frozenset()
+
+    def step(side: int, event, direction: str):
+        x = state[side - 1]
+        y = x | {event} if direction == "forward" else x - {event}
+        assert (event in x) == (direction == "backward")
+        return y if y in structs[side - 1].configs else None
+
+    def candidate(x1, x2, g) -> bool:
+        return g in matchings(a, x1, b, x2, both_ways=False)
+
+    def answers(side: int, event, direction: str):
+        other = 3 - side
+        label = structs[side - 1].labels[event]
+        found = []
+        pool = structs[other - 1].events - state[other - 1]
+        if direction == "backward":
+            pool = state[other - 1]
+        for e in pool:
+            y = step(other, e, direction)
+            if y is None or structs[other - 1].labels[e] != label:
+                continue
+            pair = (event, e) if side == 1 else (e, event)
+            g = f | {pair} if direction == "forward" else f - {pair}
+            if direction == "backward" and pair not in f:
+                continue
+            ys = (step(side, event, direction), y)
+            ys = ys if side == 1 else ys[::-1]
+            if candidate(ys[0], ys[1], g):
+                found.append((e, ys, g))
+        return found
+
+    assert play
+    for index, move in enumerate(play):
+        side, direction = move["side"], move["direction"]
+        event = by_name[side - 1][move["event"]]
+        assert str(structs[side - 1].labels[event]) == move["label"]
+        assert step(side, event, direction) is not None
+        options = answers(side, event, direction)
+        if move["answer"] is None:
+            assert index == len(play) - 1
+            assert options == []
+            return
+        reply = by_name[2 - side][move["answer"]]
+        chosen = [o for o in options if o[0] == reply]
+        assert chosen, (move, options)
+        _, ys, f = chosen[0]
+        state = list(ys)
+    raise AssertionError("play ends with an answered move")
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+
+def test_engine_matches_reference_checkers():
+    checked = 0
+    for p, q in _corpus(seed=2024, count=520):
+        try:
+            a, b = encode_ccs(p), encode_ccs(q)
+        except EventCapExceeded:
+            continue
+        mine = hhpb(a, b)
+        _same(mine, ref_hhpb(a, b))
+        if mine.outcome == "distinguished" and mine.evidence["play"]:
+            _replay_losing_play(a, b, mine.evidence["play"])
+        _same(cs_bfb_barbed_bisim(a, b), ref_cs_bfb_barbed_bisim(a, b))
+        _same(ccs_barbed_bisim(p, q), ref_ccs_barbed_bisim(p, q))
+        r, s = Thread((), p), Thread((), q)
+        _same(rccs_bfb_bisim(r, s), ref_rccs_bfb_bisim(r, s))
+        checked += 1
+    assert checked >= 500

@@ -84,6 +84,10 @@ def test_event_cap_env(monkeypatch):
         cs([], labels)
     monkeypatch.setenv("RCCS_EVENT_CAP", "5")
     cs([], labels)
+    for bad in ("abc", "-3"):
+        monkeypatch.setenv("RCCS_EVENT_CAP", bad)
+        with pytest.raises(ValueError, match="RCCS_EVENT_CAP"):
+            cs([], labels)
 
 
 # ---------------------------------------------------------------------------
