@@ -6,8 +6,9 @@ construction-tree identities: plain strings for external input, prefix
 leaves, tagged coproduct injections and star-pairs for products, so
 results are reproducible and projections readable off the identity.
 
-Product events may carry pair labels and relabelling may produce the
-internal zero label; both only exist transiently inside ``parallel``.
+Product events carry pair labels. ``parallel`` builds only the solo
+events and the synchronising pairs, labelled tau, so its result carries
+CCS labels only and the event cap bounds that result, not a product.
 """
 
 from __future__ import annotations
@@ -34,16 +35,6 @@ class _Star:
 STAR = _Star()
 
 
-class _Zero:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "0"
-
-
-ZERO = _Zero()
-
-
 def _event_cap() -> int:
     raw = os.environ.get("RCCS_EVENT_CAP", "16")
     try:
@@ -53,6 +44,13 @@ def _event_cap() -> int:
     if cap < 0:
         raise ValueError(f"RCCS_EVENT_CAP must be a non-negative integer, got {raw!r}")
     return cap
+
+
+def _check_cap(count: int) -> None:
+    # No cap is below 0 events, so the empty structure built at import
+    # time never reads the cap and a bad one is reported at first use.
+    if count and count > (cap := _event_cap()):
+        raise EventCapExceeded(f"{count} events exceed the cap of {cap}")
 
 
 def _ekey(value) -> tuple:
@@ -67,8 +65,6 @@ def _ekey(value) -> tuple:
 
 
 def _lkey(label) -> tuple:
-    if label is ZERO:
-        return ("0",)
     if isinstance(label, tuple):
         return ("p", _lkey(label[0]), _lkey(label[1]))
     return ("l", label.kind, label.name or "")
@@ -86,12 +82,7 @@ class ConfStruct:
         labels: Mapping,
     ):
         self.events = frozenset(events)
-        # No cap is below 0 events, so the empty structure built at import
-        # time never reads the cap and a bad one is reported at first use.
-        if self.events and len(self.events) > (cap := _event_cap()):
-            raise EventCapExceeded(
-                f"{len(self.events)} events exceed the cap of {cap}"
-            )
+        _check_cap(len(self.events))
         self.configs = frozenset(frozenset(x) for x in configs)
         self.labels = dict(labels)
         if frozenset() not in self.configs:
@@ -181,26 +172,34 @@ def _check_coincidence(c: ConfStruct) -> tuple | None:
 
 
 def _check_finite_completeness(c: ConfStruct) -> tuple | None:
-    """Pairwise-compatible families must have their union in the family."""
+    """Pairwise-compatible families must have their union in the family.
+
+    Compatible pairs and pairwise-compatible triples suffice: when their
+    unions are configurations, X1 | X2 is compatible with every other
+    member of a family, and induction on its size covers the rest. The
+    witness is a minimal pair or triple. Joins are bit masks, so triples
+    cost |C|^2 mask operations.
+    """
     configs = c.sorted_configs()
-    n = len(configs)
-    compatible = [
-        [_bounded(c, configs[i], configs[j]) for j in range(n)] for i in range(n)
-    ]
-    witness: list[tuple] = []
-
-    def extend(chosen: list[int], union: frozenset, start: int) -> bool:
-        if len(chosen) >= 2 and union not in c.configs:
-            witness.append(tuple(configs[i] for i in chosen))
-            return False
-        for j in range(start, n):
-            if all(compatible[i][j] for i in chosen):
-                if not extend(chosen + [j], union | configs[j], j + 1):
-                    return False
-        return True
-
-    if not extend([], frozenset(), 0):
-        return witness[0]
+    index = {x: i for i, x in enumerate(configs)}
+    joins = [1 << i for i in range(len(configs))]  # bit j: union with j in C
+    for i, x in enumerate(configs):
+        for j in range(i + 1, len(configs)):
+            if x | configs[j] in index:
+                joins[i] |= 1 << j
+                joins[j] |= 1 << i
+            elif _bounded(c, x, configs[j]):
+                return (x, configs[j])
+    # Compatible pairs are now exactly the joins, and the union of a
+    # triple is that of the union u of its first two with the third.
+    for i, x in enumerate(configs):
+        for j in range(i + 1, len(configs)):
+            if joins[i] >> j & 1:
+                u = index[x | configs[j]]
+                missing = (joins[i] & joins[j] & ~joins[u]) >> (j + 1)
+                if missing:
+                    k = j + (missing & -missing).bit_length()
+                    return (x, configs[j], configs[k])
     return None
 
 
@@ -230,26 +229,22 @@ def _pair(left, right):
     return ("pair", left, right)
 
 
-def product(a: ConfStruct, b: ConfStruct) -> tuple[ConfStruct, dict, dict]:
-    """Categorical product; returns the structure and both projections."""
-    candidates = (
-        [_pair(e1, STAR) for e1 in a.sorted_events()]
-        + [_pair(STAR, e2) for e2 in b.sorted_events()]
-        + [
-            _pair(e1, e2)
-            for e1 in a.sorted_events()
-            for e2 in b.sorted_events()
-        ]
-    )
-    labels = {}
-    for event in candidates:
-        _, left, right = event
-        if right is STAR:
-            labels[event] = a.labels[left]
-        elif left is STAR:
-            labels[event] = b.labels[right]
-        else:
-            labels[event] = (a.labels[left], b.labels[right])
+def _solo_events(a: ConfStruct, b: ConfStruct) -> dict:
+    """The events of a and of b as pair events with a star, labelled."""
+    labels = {_pair(e1, STAR): a.labels[e1] for e1 in a.sorted_events()}
+    labels.update({_pair(STAR, e2): b.labels[e2] for e2 in b.sorted_events()})
+    return labels
+
+
+def _product_configs(a: ConfStruct, b: ConfStruct, candidates: list) -> list:
+    """The sets of candidate pair events that are product configurations.
+
+    Such a set uses each event of a and of b at most once, projects onto
+    configurations of both, and separates every two of its events by a
+    subset that does too. The cap is checked before the search, which
+    is exponential in the number of candidates.
+    """
+    _check_cap(len(candidates))
 
     def proj1(x: Iterable) -> frozenset:
         return frozenset(e[1] for e in x if e[1] is not STAR)
@@ -294,9 +289,22 @@ def product(a: ConfStruct, b: ConfStruct) -> tuple[ConfStruct, dict, dict]:
             )
 
     search(0, (), frozenset(), frozenset())
-    struct = ConfStruct(candidates, configs, labels)
-    p1 = {e: e[1] for e in candidates}
-    p2 = {e: e[2] for e in candidates}
+    return configs
+
+
+def product(a: ConfStruct, b: ConfStruct) -> tuple[ConfStruct, dict, dict]:
+    """Categorical product; returns the structure and both projections."""
+    labels = _solo_events(a, b)
+    labels.update(
+        {
+            _pair(e1, e2): (a.labels[e1], b.labels[e2])
+            for e1 in a.sorted_events()
+            for e2 in b.sorted_events()
+        }
+    )
+    struct = ConfStruct(labels, _product_configs(a, b, list(labels)), labels)
+    p1 = {e: e[1] for e in labels}
+    p2 = {e: e[2] for e in labels}
     return struct, p1, p2
 
 
@@ -352,27 +360,25 @@ def relabel(a: ConfStruct, mapping) -> ConfStruct:
 
 
 def parallel(a: ConfStruct, b: ConfStruct) -> ConfStruct:
-    """Product, then synchronisation relabelling, then zero removal."""
-    prod, _, _ = product(a, b)
+    """The product's solo events and synchronising pairs, the latter as tau.
 
-    def sync_label(event):
-        label = prod.labels[event]
-        if not isinstance(label, tuple):
-            return label
-        l1, l2 = label
-        if (
-            isinstance(l1, Label)
-            and isinstance(l2, Label)
+    Pairs of complementary visible labels synchronise; no other pair is
+    built, so the configurations are those of the product over these
+    events alone.
+    """
+    labels = _solo_events(a, b)
+    labels.update(
+        {
+            _pair(e1, e2): TAU
+            for e1 in a.sorted_events()
+            for e2 in b.sorted_events()
+            if isinstance(l1 := a.labels[e1], Label)
+            and isinstance(l2 := b.labels[e2], Label)
             and not l1.is_tau
-            and not l2.is_tau
             and l2 == complement(l1)
-        ):
-            return TAU
-        return ZERO
-
-    relabelled = relabel(prod, sync_label)
-    keep = [e for e in relabelled.events if relabelled.labels[e] is not ZERO]
-    return restrict_events(relabelled, keep)
+        }
+    )
+    return ConfStruct(labels, _product_configs(a, b, list(labels)), labels)
 
 
 # ---------------------------------------------------------------------------

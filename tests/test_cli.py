@@ -72,6 +72,13 @@ def test_encode_emitted_json_is_re_readable_by_tool():
     assert json.loads(out2)["verdict"] == "equivalent"
 
 
+def test_encode_cap_bounds_the_result_not_the_product():
+    # The product of the two chains has 24 events; their parallel has 8.
+    code, out, err = run(["encode", "a.b.c.d|e.f.g.h"])
+    assert code == 0, err
+    assert len(json.loads(out)["events"]) == 8
+
+
 def test_encode_dot():
     code, out, _ = run(["encode", "a|b", "--format", "dot"])
     assert code == 0
@@ -122,6 +129,36 @@ def test_axioms_counterexample(tmp_path):
 def test_axioms_valid_structure(tmp_path):
     _, encoded, _ = run(["encode", "a.b+b.a"])
     path = tmp_path / "good.json"
+    path.write_text(encoded)
+    code, out, _ = run(["axioms", str(path)])
+    assert code == 0
+    assert json.loads(out)["valid"] is True
+
+
+def test_axioms_finite_completeness_witness_is_minimal(tmp_path):
+    # Counterexample B: three events pairwise but not jointly compatible.
+    names = ["e1", "e2", "e3"]
+    structure = {
+        "events": [{"id": n, "label": l} for n, l in zip(names, "abc")],
+        "configs": [[]] + [[n] for n in names] + [["e1", "e2"], ["e1", "e3"], ["e2", "e3"]],
+    }
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(structure))
+    code, out, _ = run(["axioms", str(path)])
+    assert code == 1
+    assert json.loads(out)["failures"] == {"finite_completeness": [["e1"], ["e2"], ["e3"]]}
+
+
+@pytest.mark.parametrize(
+    "term, events, configs",
+    [("a|b|c|d|e", 5, 32), ("a.b.c.d.e.f|g.h.i.j.k.l", 12, 49)],
+)
+def test_axioms_on_large_encodings(tmp_path, term, events, configs):
+    code, encoded, _ = run(["encode", term])
+    assert code == 0
+    payload = json.loads(encoded)
+    assert (len(payload["events"]), len(payload["configs"])) == (events, configs)
+    path = tmp_path / "s.json"
     path.write_text(encoded)
     code, out, _ = run(["axioms", str(path)])
     assert code == 0

@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from rccs.terms import TAU, inp, out, parse_term
 from rccs.structures import (
@@ -39,7 +40,7 @@ from rccs.structures import (
 )
 from rccs.encoding import encode_ccs
 
-from generators import random_singly_term
+from generators import random_singly_term, random_term
 
 
 def cs(configs, labels):
@@ -373,3 +374,27 @@ def test_event_names_unique():
     struct = encode_ccs(parse_term("a.(a|c)+b"))
     names = event_names(struct)
     assert len(set(names.values())) == len(struct.events)
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis: encodings are valid structures and survive a JSON round trip
+
+
+def _random_encoding(rng) -> ConfStruct:
+    try:
+        return encode_ccs(random_term(rng, max_prefixes=8, alphabet=["a", "b", "c"]))
+    except EventCapExceeded:
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_encodings_satisfy_axioms_property(rng):
+    assert validate_axioms(_random_encoding(rng)).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_json_round_trip_property(rng):
+    struct = _random_encoding(rng)
+    assert iso(from_json(to_json(struct)), struct) is not None
