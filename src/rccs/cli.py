@@ -121,15 +121,18 @@ def _load_term(text: str) -> Term:
 
 
 def _load_process(text: str) -> Process:
-    """A process, with a bare term read as running under empty memory."""
+    """A process, with a bare term read as running under empty memory.
+
+    When neither parses, the error of the parse that got further is shown."""
     try:
         return parse_process(text)
-    except ParseError:
-        pass
+    except ParseError as exc:
+        process_error = exc
     try:
         return Thread((), parse_term(text))
     except ParseError as exc:
-        raise _CliError(f"bad process: {exc}", 2)
+        error = max(exc, process_error, key=lambda e: e.offset)
+        raise _CliError(f"bad process: {error}", 2)
 
 
 def _is_json(text: str) -> bool:

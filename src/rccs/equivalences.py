@@ -35,13 +35,11 @@ from .terms import (
 from .machine import (
     Process,
     Thread,
-    bwd_steps,
     format_process,
-    fwd_steps,
     instantiate_context,
     normal_form,
+    observe,
     origin,
-    rccs_barbs,
 )
 from .structures import (
     ConfStruct,
@@ -166,12 +164,8 @@ _ROOT = (_EMPTY, _EMPTY, _EMPTY)
 
 def _strict_order(c: ConfStruct, x: frozenset) -> frozenset:
     """All pairs (e1, e2) with e1 strictly below e2 in x."""
-    members = sorted(x, key=_ekey)
     return frozenset(
-        (e1, e2)
-        for e1 in members
-        for e2 in members
-        if e1 != e2 and causes(c, x, e1, e2)
+        (e1, e2) for e1 in x for e2 in x if e1 != e2 and causes(c, x, e1, e2)
     )
 
 
@@ -196,8 +190,11 @@ def matchings(
     b: ConfStruct,
     x2: frozenset,
     both_ways: bool = True,
+    orders: tuple | None = None,
 ) -> list[frozenset]:
-    """Label-preserving, order-preserving bijections between x1 and x2."""
+    """Label-preserving, order-preserving bijections between x1 and x2.
+
+    ``orders`` may hold the ``_strict_order`` of x1 and of x2."""
     if len(x1) != len(x2):
         return []
     groups1: dict = {}
@@ -210,8 +207,7 @@ def matchings(
         return []
     if any(len(groups1[k]) != len(groups2[k]) for k in groups1):
         return []
-    order1 = _strict_order(a, x1)
-    order2 = _strict_order(b, x2)
+    order1, order2 = orders or (_strict_order(a, x1), _strict_order(b, x2))
     keys = sorted(groups1)
     chunks = [sorted(groups1[k], key=_ekey) for k in keys]
     results = []
@@ -234,35 +230,43 @@ def matchings(
 
 
 def _all_triples(a: ConfStruct, b: ConfStruct, both_ways: bool) -> set:
+    orders1 = {x: _strict_order(a, x) for x in a.configs}
+    orders2 = {x: _strict_order(b, x) for x in b.configs}
     triples = set()
     for x1 in a.configs:
         for x2 in b.configs:
-            for f in matchings(a, x1, b, x2, both_ways):
+            orders = (orders1[x1], orders2[x2])
+            for f in matchings(a, x1, b, x2, both_ways, orders):
                 triples.add((x1, x2, f))
     return triples
 
 
-def _step_key(step) -> tuple:
-    return _ekey(step[0])
+def _step_key(c: ConfStruct) -> Callable:
+    """Sort key on the ``(event, config)`` steps of c: the event's place in
+    the ``_ekey`` order, ranked once per structure."""
+    rank = {e: k for k, e in enumerate(sorted(c.events, key=_ekey))}
+    return lambda step: rank[step[0]]
 
 
 def hhpb(a: ConfStruct, b: ConfStruct) -> Verdict:
     """Hereditary history preserving bisimilarity by fixpoint refinement."""
     candidates = _all_triples(a, b, both_ways=False)
+    # One key per side: a and b may share event identities.
+    key1, key2 = _step_key(a), _step_key(b)
 
     def challenges(triple):
         x1, x2, f = triple
         steps1, steps2 = config_steps(a, x1), config_steps(b, x2)
-        for e1, y1 in sorted(steps1, key=_step_key):
+        for e1, y1 in sorted(steps1, key=key1):
             yield (1, "forward", e1), [(y1, y2, f | {(e1, e2)}) for e2, y2 in steps2]
-        for e2, y2 in sorted(steps2, key=_step_key):
+        for e2, y2 in sorted(steps2, key=key2):
             yield (2, "forward", e2), [(y1, y2, f | {(e1, e2)}) for e1, y1 in steps1]
         image = dict(f)
-        for e1, y1 in sorted(config_backsteps(a, x1), key=_step_key):
+        for e1, y1 in sorted(config_backsteps(a, x1), key=key1):
             e2 = image[e1]
             yield (1, "backward", e1), [(y1, x2 - {e2}, f - {(e1, e2)})]
         preimage = {e2: e1 for e1, e2 in f}
-        for e2, y2 in sorted(config_backsteps(b, x2), key=_step_key):
+        for e2, y2 in sorted(config_backsteps(b, x2), key=key2):
             e1 = preimage[e2]
             yield (2, "backward", e2), [(x1 - {e1}, y2, f - {(e1, e2)})]
 
@@ -390,27 +394,17 @@ def forw_backw_levels(a: ConfStruct, b: ConfStruct) -> LevelFamilies:
 # Barbed bisimulations
 
 
-def _barbed_bisim(side1: tuple, side2: tuple, start: tuple) -> Verdict:
+def _barbed_bisim(side1: tuple, side2: tuple) -> Verdict:
     """Greatest symmetric relation matching observations and, per move
     kind, simulating moves in both directions.
 
-    Each side is ``(states, moves, barbs, render)``: ``moves(state)`` maps
-    each move kind to the successor states, ``barbs(state)`` is what an
-    observer sees, ``render(state)`` prints a state in evidence.
+    Each side is ``(states, observe, render)``: the game starts from the
+    first of ``states`` and runs on every state reachable from them;
+    ``observe(state)`` returns what an observer sees and a map from each
+    move kind to the successor states; ``render(state)`` prints a state.
     """
-    sides = (side1, side2)
-    # Terms and processes recompute their hashes on every lookup, so the
-    # game runs on each state's position in its side's list.
-    order = [list(states) for states, _, _, _ in sides]
-    number = [{s: i for i, s in enumerate(states)} for states in order]
-    succ = [
-        [{k: [num[x] for x in v] for k, v in moves(s).items()} for s in states]
-        for states, (_, moves, _, _), num in zip(order, sides, number)
-    ]
-    seen = [
-        [barbs(s) for s in states] for states, (_, _, barbs, _) in zip(order, sides)
-    ]
-    pairs = [(i, j) for i in range(len(order[0])) for j in range(len(order[1]))]
+    names, seen, succ = zip(*(_explore(*side) for side in (side1, side2)))
+    pairs = [(i, j) for i in range(len(names[0])) for j in range(len(names[1]))]
 
     def challenges(pair):
         i, j = pair
@@ -423,16 +417,11 @@ def _barbed_bisim(side1: tuple, side2: tuple, start: tuple) -> Verdict:
     live, removed = _refine(
         pairs, challenges, [(i, j) for i, j in pairs if seen[0][i] != seen[1][j]]
     )
-    start = (number[0][start[0]], number[1][start[1]])
-
-    def show(side: int, i: int) -> str:
-        return sides[side - 1][3](order[side - 1][i])
-
-    if start in live:
-        witness = sorted((show(1, i), show(2, j)) for i, j in live)
+    if (0, 0) in live:
+        witness = sorted((names[0][i], names[1][j]) for i, j in live)
         return Verdict("equivalent", witness=witness)
     play = []
-    for (i, j), move, answer in _losing_line(removed, start):
+    for (i, j), move, answer in _losing_line(removed, (0, 0)):
         if move is None:
             play.append(
                 {
@@ -446,67 +435,71 @@ def _barbed_bisim(side1: tuple, side2: tuple, start: tuple) -> Verdict:
                 {
                     "side": side,
                     "move": kind,
-                    "to": show(side, successor),
+                    "to": names[side - 1][successor],
                     "answer": None
                     if answer is None
-                    else show(3 - side, answer[2 - side]),
+                    else names[2 - side][answer[2 - side]],
                 }
             )
     return Verdict("distinguished", evidence={"play": play})
 
 
-def _closure(starts: Iterable, successors: Callable) -> set:
-    seen = set()
-    stack = list(starts)
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        stack.extend(successors(state))
-    return seen
+def _explore(states: Iterable, observe: Callable, render: Callable) -> tuple:
+    """Every state reachable from ``states``, numbered in order of
+    discovery and observed once: per number, the printed state, the
+    observation and the successors by move kind. Terms and processes
+    recompute their hashes on every lookup, so the game runs on the
+    numbers. Successors are listed in the order of their printed forms,
+    so evidence does not depend on hash order."""
+    order = list(dict.fromkeys(states))
+    number = {s: i for i, s in enumerate(order)}
+    names = [render(s) for s in order]
+    seen, succ = [], []
+
+    def position(state) -> int:
+        i = number.get(state)
+        if i is None:
+            i = number[state] = len(order)
+            order.append(state)
+            names.append(render(state))
+        return i
+
+    for state in order:  # grows while new successors turn up
+        barbs, moves = observe(state)
+        seen.append(barbs)
+        succ.append(
+            {
+                kind: sorted(map(position, targets), key=names.__getitem__)
+                for kind, targets in moves.items()
+            }
+        )
+    return names, seen, succ
 
 
 def ccs_barbed_bisim(p: Term, q: Term) -> Verdict:
     """Reduction-closed, barb-preserving bisimulation on CCS terms."""
-    p0 = canonical_term(p)
-    q0 = canonical_term(q)
 
-    def tau_succs(t: Term) -> frozenset:
-        return frozenset(
-            canonical_term(d) for label, d in ccs_step(t) if label.is_tau
-        )
+    def observe_term(t: Term) -> tuple:
+        tau = frozenset(canonical_term(d) for label, d in ccs_step(t) if label.is_tau)
+        return barbs(t), {"tau": tau}
 
-    def side(t0: Term) -> tuple:
-        states = _closure([t0], tau_succs)
-        return states, lambda t: {"tau": tau_succs(t)}, barbs, format_term
-
-    return _barbed_bisim(side(p0), side(q0), (p0, q0))
+    return _barbed_bisim(
+        ([canonical_term(p)], observe_term, format_term),
+        ([canonical_term(q)], observe_term, format_term),
+    )
 
 
 def rccs_bfb_bisim(r: Process, s: Process) -> Verdict:
     """Back-and-forth barbed bisimulation on reversible processes."""
-    r0 = normal_form(r)
-    s0 = normal_form(s)
 
-    def tau_fwd(state: Process) -> frozenset:
-        return frozenset(
-            normal_form(t) for _, label, t in fwd_steps(state) if label.is_tau
-        )
+    def observe_state(state: Process) -> tuple:
+        barbs, fwd, bwd = observe(state)
+        return barbs, {"tau+": fwd, "tau-": bwd}
 
-    def tau_bwd(state: Process) -> frozenset:
-        return frozenset(
-            normal_form(t) for _, label, t in bwd_steps(state) if label.is_tau
-        )
-
-    def side(start: Process) -> tuple:
-        def moves(st: Process) -> dict:
-            return {"tau+": tau_fwd(st), "tau-": tau_bwd(st)}
-
-        states = _closure([start], lambda st: tau_fwd(st) | tau_bwd(st))
-        return states, moves, rccs_barbs, format_process
-
-    return _barbed_bisim(side(r0), side(s0), (r0, s0))
+    return _barbed_bisim(
+        ([normal_form(r)], observe_state, format_process),
+        ([normal_form(s)], observe_state, format_process),
+    )
 
 
 def cs_bfb_barbed_bisim(a: ConfStruct, b: ConfStruct) -> Verdict:
@@ -523,16 +516,18 @@ def cs_bfb_barbed_bisim(a: ConfStruct, b: ConfStruct) -> Verdict:
             )
 
         return (
-            struct.configs,
-            lambda x: {
-                "tau+": tau(config_steps(struct, x)),
-                "tau-": tau(config_backsteps(struct, x)),
-            },
-            lambda x: barbs_at(struct, x),
+            [_EMPTY, *struct.configs],
+            lambda x: (
+                barbs_at(struct, x),
+                {
+                    "tau+": tau(config_steps(struct, x)),
+                    "tau-": tau(config_backsteps(struct, x)),
+                },
+            ),
             lambda x: "{" + ",".join(sorted(names[e] for e in x)) + "}",
         )
 
-    return _barbed_bisim(side(a), side(b), (_EMPTY, _EMPTY))
+    return _barbed_bisim(side(a), side(b))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,10 @@ class UnsupportedContext(ValueError):
     """Only hole and nested parallel contexts can monitor a process."""
 
 
+# Entries kept by each of the caches below; the least recently used go first.
+CACHE_SIZE = 4096
+
+
 # ---------------------------------------------------------------------------
 # Memories and processes
 
@@ -210,7 +214,7 @@ def _canon_memory(memory: Memory) -> Memory:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def exec_form(process: Process) -> Process:
     names = fresh_names(_proc_all_names(process), "rn")
     return _expand(process, names)
@@ -246,7 +250,7 @@ def _expand_thread(memory: Memory, code: Term, names) -> Process:
 # Normal form and congruence
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def normal_form(process: Process) -> Process:
     """Canonical representative modulo structural congruence.
 
@@ -342,17 +346,22 @@ def substitute_id(process: Process, old: int, new: int) -> Process:
 # Forward steps
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def fwd_steps(process: Process) -> frozenset[tuple[int, Label, Process]]:
     """All forward transitions, offering the least unused identifier."""
     form = exec_form(process)
+    fresh = _least_fresh(form)
+    return frozenset(
+        (fresh, label, exec_form(build(fresh))) for label, build in _fwd_items(form)
+    )
+
+
+def _least_fresh(form: Process) -> int:
     used = ids(form)
     fresh = 1
     while fresh in used:
         fresh += 1
-    return frozenset(
-        (fresh, label, exec_form(build(fresh))) for label, build in _fwd_items(form)
-    )
+    return fresh
 
 
 def _fwd_items(process: Process) -> list:
@@ -406,9 +415,11 @@ def _fwd_items(process: Process) -> list:
 
 
 def rccs_barbs(process: Process) -> frozenset[Label]:
-    return frozenset(
-        label for _, label, _ in fwd_steps(process) if not label.is_tau
-    )
+    return _barbs(_fwd_items(exec_form(process)))
+
+
+def _barbs(items: list) -> frozenset[Label]:
+    return frozenset(label for label, _ in items if not label.is_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +470,7 @@ def _sum_restore(label: Label, code: Term, alternative: Term) -> Term | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def bwd_steps(process: Process) -> frozenset[tuple[int, Label, Process]]:
     """All backward transitions; synchronisations are undone jointly."""
     form = _refold(exec_form(process))
@@ -509,6 +520,26 @@ def _bwd_items(process: Process) -> list:
             if label.is_tau or label.name != process.name
         ]
     raise TypeError(f"not a process: {process!r}")
+
+
+def observe(process: Process) -> tuple[frozenset, frozenset, frozenset]:
+    """What a barbed observer reads from a state: its barbs and the normal
+    forms of its forward and backward tau-successors.
+
+    Works on one execution form and builds no visible-step target.
+    """
+    form = exec_form(process)
+    items = _fwd_items(form)
+    fresh = _least_fresh(form)
+    return (
+        _barbs(items),
+        frozenset(normal_form(build(fresh)) for label, build in items if label.is_tau),
+        frozenset(
+            normal_form(target)
+            for _, label, target in _bwd_items(_refold(form))
+            if label.is_tau
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +750,7 @@ class _ProcessParser(_terms._TermParser):
             raise ParseError("expected a process", pos)
         while self.peek()[1] == "\\":
             self.next()
-            kind, text, pos = self.next()
-            if kind != "name":
-                raise ParseError("expected a name after '\\'", pos)
-            process = ResP(process, text)
+            process = ResP(process, self.parse_name("expected a name after '\\'"))
         return process
 
     def parse_memory(self) -> Memory:

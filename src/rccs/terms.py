@@ -30,6 +30,7 @@ _OUT = "out"
 _TAU = "tau"
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
+_TAU_NAME = "'tau' is the silent action, not a channel name"
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,8 @@ class Label:
         elif self.kind in (_IN, _OUT):
             if self.name is None or not _NAME_RE.fullmatch(self.name):
                 raise ValueError(f"bad name {self.name!r}")
+            if self.name == _TAU:
+                raise ValueError(_TAU_NAME)
         else:
             raise ValueError(f"bad label kind {self.kind!r}")
 
@@ -210,10 +213,7 @@ class _TermParser:
         term = self.parse_prefix()
         while self.peek()[1] == "\\":
             self.next()
-            kind, text, pos = self.next()
-            if kind != "name":
-                raise ParseError("expected a name after '\\'", pos)
-            term = Res(term, text)
+            term = Res(term, self.parse_name("expected a name after '\\'"))
         return term
 
     def parse_prefix(self) -> Term:
@@ -235,15 +235,18 @@ class _TermParser:
         raise ParseError("expected a term", pos)
 
     def parse_action(self) -> Label:
+        if self.peek()[1] == "!":
+            self.next()
+            return out(self.parse_name("expected a name after '!'"))
+        return inp(self.parse_name("expected an action"))
+
+    def parse_name(self, expected: str) -> str:
         kind, text, pos = self.next()
-        if text == "!":
-            kind, text, pos = self.next()
-            if kind != "name":
-                raise ParseError("expected a name after '!'", pos)
-            return out(text)
         if kind != "name":
-            raise ParseError("expected an action", pos)
-        return inp(text)
+            raise ParseError(expected, pos)
+        if text == _TAU:
+            raise ParseError(_TAU_NAME, pos)
+        return text
 
 
 def parse_term(text: str) -> Term:

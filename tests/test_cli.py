@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import rccs
+from rccs import machine
 from rccs.cli import run
 from rccs.structures import from_json, iso
 from rccs.encoding import encode_ccs
@@ -232,6 +233,27 @@ def test_check_congruence_bounded_equivalent():
     assert json.loads(out)["verdict"] == "bounded-equivalent"
 
 
+def test_check_congruence_keeps_machine_caches_bounded():
+    caches = (
+        machine.exec_form,
+        machine.normal_form,
+        machine.fwd_steps,
+        machine.bwd_steps,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    # Together these explore more states than one cache keeps.
+    pairs = [("a.(b|!b) | !a.c", "!a.c | a.(b|!b)"), ("a.b.c | !a.!b", "!a.!b | a.b.c")]
+    for p, q in pairs:
+        code, out, _ = run(["check", "congruence", p, q])
+        assert code == 0 and json.loads(out)["verdict"] == "bounded-equivalent"
+    assert machine.exec_form.cache_info().misses > machine.CACHE_SIZE
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == machine.CACHE_SIZE
+        assert info.currsize <= machine.CACHE_SIZE
+
+
 def test_check_congruence_negative_depth_exit_2():
     code, out, err = run(
         ["check", "congruence", "a", "b", "--context-depth", "-1"]
@@ -281,6 +303,37 @@ def test_replay_malformed_trace_exit_2(tmp_path):
     code, _, err = run(["replay", "{} |> a.b", str(path)])
     assert code == 2
     assert err
+
+
+def test_channel_named_tau_exit_2(tmp_path):
+    # tau is the silent action: as a channel its input would sit next to
+    # the real tau event, and a trace could not tell the two apart.
+    trace = tmp_path / "trace.txt"
+    trace.write_text("+ 1:tau\n")
+    for argv in (
+        ["encode", "tau | !tau"],
+        ["encode", "(a | b) \\ tau"],
+        ["check", "congruence", "a.!tau", "a"],
+        ["replay", "{} |> tau", str(trace)],
+        ["replay", "<1,!tau>.{} |> a", str(trace)],
+    ):
+        code, out, err = run(argv)
+        assert code == 2, argv
+        assert not out
+        (line,) = err.strip().splitlines()
+        assert "'tau' is the silent action, not a channel name" in line, argv
+
+
+def test_trace_or_structure_naming_tau_exit_2(tmp_path):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("+ 1:!tau\n")
+    code, _, err = run(["replay", "{} |> a", str(trace)])
+    assert code == 2 and "bad trace line 1" in err
+    structure = tmp_path / "s.json"
+    events = [{"id": "e", "label": "tau"}, {"id": "f", "label": "!tau"}]
+    structure.write_text(json.dumps({"events": events, "configs": [[], ["e"], ["f"]]}))
+    code, _, err = run(["axioms", str(structure)])
+    assert code == 2 and err.startswith("bad structure JSON")
 
 
 # ---------------------------------------------------------------------------

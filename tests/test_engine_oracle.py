@@ -31,7 +31,6 @@ from rccs.machine import (
     format_process,
     fwd_steps,
     normal_form,
-    rccs_barbs,
 )
 from rccs.structures import (
     ConfStruct,
@@ -47,7 +46,6 @@ from rccs.equivalences import (
     TripleRelation,
     Verdict,
     _all_triples,
-    _closure,
     ccs_barbed_bisim,
     cs_bfb_barbed_bisim,
     hhpb,
@@ -153,6 +151,18 @@ def ref_hhpb(a: ConfStruct, b: ConfStruct) -> Verdict:
 # Reference: barbed pair refinement with its own loop and play walk
 
 
+def _closure(starts: Iterable, successors: Callable) -> set:
+    seen = set()
+    stack = list(starts)
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        stack.extend(successors(state))
+    return seen
+
+
 def _ref_pair_refine(
     states1: Iterable,
     states2: Iterable,
@@ -164,6 +174,15 @@ def _ref_pair_refine(
     render1: Callable,
     render2: Callable,
 ) -> Verdict:
+    # Successors are challenged in the order of their printed forms, which
+    # does not depend on hash order.
+    def in_order(moves: dict, render: Callable) -> dict:
+        return {
+            s: {kind: sorted(ts, key=render) for kind, ts in m.items()}
+            for s, m in moves.items()
+        }
+
+    moves1, moves2 = in_order(moves1, render1), in_order(moves2, render2)
     removed: dict = {}
     live = set()
     for s in states1:
@@ -275,8 +294,11 @@ def ref_rccs_bfb_bisim(r: Process, s: Process) -> Verdict:
     states2 = _closure([s0], both)
     moves1 = {st: {"tau+": tau_fwd(st), "tau-": tau_bwd(st)} for st in states1}
     moves2 = {st: {"tau+": tau_fwd(st), "tau-": tau_bwd(st)} for st in states2}
-    obs1 = {st: rccs_barbs(st) for st in states1}
-    obs2 = {st: rccs_barbs(st) for st in states2}
+    def barbs_of(state: Process) -> frozenset:
+        return frozenset(l for _, l, _ in fwd_steps(state) if not l.is_tau)
+
+    obs1 = {st: barbs_of(st) for st in states1}
+    obs2 = {st: barbs_of(st) for st in states2}
     return _ref_pair_refine(
         states1, states2, moves1, moves2, obs1, obs2, (r0, s0),
         format_process, format_process,
