@@ -20,6 +20,7 @@ from .machine import (
     ReplayError,
     Thread,
     bwd_steps,
+    exec_form,
     format_memory,
     format_process,
     fwd_steps,
@@ -27,6 +28,7 @@ from .machine import (
     parse_process,
     parse_trace,
     replay,
+    threads,
 )
 from .structures import (
     ConfStruct,
@@ -38,7 +40,7 @@ from .structures import (
     to_json,
     validate_axioms,
 )
-from .encoding import NotSinglyLabelled, encode_ccs, encode_rccs, is_singly_labelled
+from .encoding import NotSinglyLabelled, encode_ccs, encode_rccs
 from .equivalences import (
     TauEventInConfig,
     Verdict,
@@ -120,19 +122,34 @@ def _load_term(text: str) -> Term:
         raise _CliError(f"bad term: {exc}", 2)
 
 
-def _load_process(text: str) -> Process:
-    """A process, with a bare term read as running under empty memory.
-
-    When neither parses, the error of the parse that got further is shown."""
+def _load_term_or_process(text: str, prefix: str = "") -> Term | Process:
+    """A term or a process. When neither parses, the error of the parse
+    that got further is shown, after ``prefix``; on a tie, the term's."""
+    try:
+        return parse_term(text)
+    except ParseError as exc:
+        term_error = exc
     try:
         return parse_process(text)
     except ParseError as exc:
-        process_error = exc
+        error = max(term_error, exc, key=lambda e: e.offset)
+        raise _CliError(f"{prefix}{error}", 2)
+
+
+def _load_process(text: str) -> Process:
+    """A process, with a bare term read as running under empty memory."""
+    subject = _load_term_or_process(text, "bad process: ")
+    return Thread((), subject) if isinstance(subject, Term) else subject
+
+
+def _read_file(path: str) -> str:
     try:
-        return Thread((), parse_term(text))
-    except ParseError as exc:
-        error = max(exc, process_error, key=lambda e: e.offset)
-        raise _CliError(f"bad process: {error}", 2)
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _CliError(str(exc), 2)
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: {exc}", 2)
 
 
 def _is_json(text: str) -> bool:
@@ -157,33 +174,22 @@ def _load_structure_or_term(text: str) -> ConfStruct:
 # Subcommands
 
 
+def _formatted(text: str) -> tuple[str, str]:
+    subject = _load_term_or_process(text)
+    if isinstance(subject, Term):
+        return "term", format_term(subject)
+    return "process", format_process(subject)
+
+
 def _cmd_parse(args) -> int:
-    try:
-        subject = parse_term(args.input)
-        kind = "term"
-        rendered = format_term(subject)
-    except ParseError:
-        try:
-            subject = parse_process(args.input)
-            kind = "process"
-            rendered = format_process(subject)
-        except ParseError as exc:
-            raise _CliError(str(exc), 2)
+    kind, rendered = _formatted(args.input)
     print(json.dumps({"kind": kind, "formatted": rendered}))
     return 0
 
 
 def _cmd_fmt(args) -> int:
-    try:
-        print(format_term(parse_term(args.input)))
-        return 0
-    except ParseError:
-        pass
-    try:
-        print(format_process(parse_process(args.input)))
-        return 0
-    except ParseError as exc:
-        raise _CliError(str(exc), 2)
+    print(_formatted(args.input)[1])
+    return 0
 
 
 def _transitions(state: Process):
@@ -209,19 +215,6 @@ def _print_state(state: Process):
         print("backward: none")
 
 
-def _memories(state: Process):
-    from .machine import ParP, ResP
-
-    if isinstance(state, Thread):
-        yield state.memory
-        return
-    if isinstance(state, ParP):
-        yield from _memories(state.left)
-        yield from _memories(state.right)
-    elif isinstance(state, ResP):
-        yield from _memories(state.body)
-
-
 def _cmd_step(args) -> int:
     state = _load_process(args.input)
     _print_state(state)
@@ -240,10 +233,8 @@ def _cmd_step(args) -> int:
                 print(f"not coherent: {exc}", file=sys.stderr)
             continue
         if command == "mem":
-            from .machine import exec_form
-
-            for memory in _memories(exec_form(state)):
-                print(format_memory(memory))
+            for thread in threads(exec_form(state)):
+                print(format_memory(thread.memory))
             continue
         if command in ("do", "undo"):
             fw, bw = _transitions(state)
@@ -303,12 +294,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_axioms(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _CliError(str(exc), 2)
-    try:
-        structure = from_json(text)
+        structure = from_json(_read_file(args.file))
     except (ValueError, KeyError, TypeError) as exc:
         raise _CliError(f"bad structure JSON: {exc}", 2)
     report = validate_axioms(structure)
@@ -407,12 +393,7 @@ def _cmd_levels(args) -> int:
 def _cmd_replay(args) -> int:
     process = _load_process(args.input)
     try:
-        with open(args.tracefile, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _CliError(str(exc), 2)
-    try:
-        trace = parse_trace(text)
+        trace = parse_trace(_read_file(args.tracefile))
     except ParseError as exc:
         raise _CliError(str(exc), 2)
     try:

@@ -25,19 +25,16 @@ from .terms import (
     format_term,
 )
 from .machine import (
-    FORK,
     MemEvent,
-    ParP,
     Process,
-    ResP,
     Thread,
     UnsupportedContext,
     erase,
     exec_form,
     fwd_steps,
-    ids,
     rollback,
     substitute_id,
+    threads,
 )
 from . import machine
 from .structures import (
@@ -104,30 +101,18 @@ def is_singly_labelled(subject) -> bool:
 # Memory order on identifiers
 
 
-def _thread_chains(process: Process) -> list[list[int]]:
-    """Identifier sequences per thread, deepest (oldest) first."""
-    if isinstance(process, Thread):
-        chain = [
-            item.ident
-            for item in reversed(process.memory)
-            if isinstance(item, MemEvent)
-        ]
-        return [chain]
-    if isinstance(process, ParP):
-        return _thread_chains(process.left) + _thread_chains(process.right)
-    if isinstance(process, ResP):
-        return _thread_chains(process.body)
-    raise TypeError(f"not a process: {process!r}")
-
-
 def memory_order(process: Process) -> frozenset[tuple[int, int]]:
     """Strict order: (i, j) when i lies deeper than j in some thread,
     glued across shared synchronisation identifiers and closed
     transitively."""
     edges: set[tuple[int, int]] = set()
-    nodes: set[int] = set()
-    for chain in _thread_chains(exec_form(process)):
-        nodes.update(chain)
+    for thread in threads(exec_form(process)):
+        # Identifiers of one thread, deepest (oldest) first.
+        chain = [
+            item.ident
+            for item in reversed(thread.memory)
+            if isinstance(item, MemEvent)
+        ]
         for a in range(len(chain)):
             for b in range(a + 1, len(chain)):
                 edges.add((chain[a], chain[b]))

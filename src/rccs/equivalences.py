@@ -52,7 +52,7 @@ from .structures import (
     event_names,
     is_maximal,
 )
-from .encoding import NotSinglyLabelled, encode_ccs, is_singly_labelled
+from .encoding import encode_ccs, is_singly_labelled
 
 
 class TauEventInConfig(ValueError):
@@ -248,13 +248,14 @@ def _step_key(c: ConfStruct) -> Callable:
     return lambda step: rank[step[0]]
 
 
-def hhpb(a: ConfStruct, b: ConfStruct) -> Verdict:
-    """Hereditary history preserving bisimilarity by fixpoint refinement."""
-    candidates = _all_triples(a, b, both_ways=False)
+def _hhpb_moves(a: ConfStruct, b: ConfStruct) -> Callable:
+    """The HHPB challenges at a triple ``(x1, x2, f)``: a generator of
+    ``((side, direction, event), answers)``, forward before backward,
+    side 1 before side 2, events in ``_ekey`` order."""
     # One key per side: a and b may share event identities.
     key1, key2 = _step_key(a), _step_key(b)
 
-    def challenges(triple):
+    def moves(triple):
         x1, x2, f = triple
         steps1, steps2 = config_steps(a, x1), config_steps(b, x2)
         for e1, y1 in sorted(steps1, key=key1):
@@ -270,7 +271,13 @@ def hhpb(a: ConfStruct, b: ConfStruct) -> Verdict:
             e1 = preimage[e2]
             yield (2, "backward", e2), [(x1 - {e1}, y2, f - {(e1, e2)})]
 
-    live, removed = _refine(candidates, challenges)
+    return moves
+
+
+def hhpb(a: ConfStruct, b: ConfStruct) -> Verdict:
+    """Hereditary history preserving bisimilarity by fixpoint refinement."""
+    candidates = _all_triples(a, b, both_ways=False)
+    live, removed = _refine(candidates, _hhpb_moves(a, b))
     if _ROOT in live:
         return Verdict("equivalent", witness=TripleRelation(frozenset(live)))
     if _ROOT not in candidates:
@@ -309,58 +316,36 @@ class LevelFamilies:
     backward_sym: dict = field(hash=False)
 
 
-def _forward_member(
-    triple, a: ConfStruct, b: ConfStruct, upper: frozenset, symmetric: bool
-) -> bool:
-    x1, x2, f = triple
-    max1 = is_maximal(a, x1)
-    max2 = is_maximal(b, x2)
-    if max1 or max2:
-        return max1 and max2
-    for e1, y1 in config_steps(a, x1):
-        if not any(
-            (y1, y2, f | {(e1, e2)}) in upper for e2, y2 in config_steps(b, x2)
-        ):
-            return False
-    if symmetric:
-        for e2, y2 in config_steps(b, x2):
-            if not any(
-                (y1, y2, f | {(e1, e2)}) in upper
-                for e1, y1 in config_steps(a, x1)
-            ):
-                return False
-    return True
-
-
-def _backward_member(
-    triple, a: ConfStruct, b: ConfStruct, lower: frozenset, symmetric: bool
-) -> bool:
-    x1, x2, f = triple
-    fwd = dict(f)
-    inv = {v: k for k, v in fwd.items()}
-    for e1, y1 in config_backsteps(a, x1):
-        e2 = fwd[e1]
-        y2 = x2 - {e2}
-        if y2 not in b.configs or (y1, y2, f - {(e1, e2)}) not in lower:
-            return False
-    if symmetric:
-        for e2, y2 in config_backsteps(b, x2):
-            e1 = inv[e2]
-            y1 = x1 - {e1}
-            if y1 not in a.configs or (y1, y2, f - {(e1, e2)}) not in lower:
-                return False
-    return True
-
-
 def forw_backw_levels(a: ConfStruct, b: ConfStruct) -> LevelFamilies:
     """Card-indexed forward/backward families, literal one-sided form
-    plus a symmetrised variant."""
+    plus a symmetrised variant.
+
+    A triple is in forward[i] when every forward HHPB challenge at it has
+    an answer in forward[i + 1], and a maximal configuration is matched
+    only by a maximal one; it is in backward[i] when it is in forward[i]
+    and every backward challenge has an answer in forward[i - 1] and
+    backward[i - 1]. The one-sided form reads only side 1's challenges.
+    """
     depth = max(
         [len(x) for x in a.configs] + [len(x) for x in b.configs]
     )
     by_card: dict[int, list] = {i: [] for i in range(depth + 1)}
     for triple in _all_triples(a, b, both_ways=False):
         by_card[len(triple[0])].append(triple)
+    moves = _hhpb_moves(a, b)
+
+    def answered(triple, direction: str, level: frozenset, symmetric: bool):
+        return all(
+            any(answer in level for answer in answers)
+            for (side, kind, _), answers in moves(triple)
+            if kind == direction and (symmetric or side == 1)
+        )
+
+    def forward_member(triple, upper: frozenset, symmetric: bool) -> bool:
+        max1, max2 = is_maximal(a, triple[0]), is_maximal(b, triple[1])
+        if max1 or max2:
+            return max1 and max2
+        return answered(triple, "forward", upper, symmetric)
 
     families: dict[bool, tuple[dict, dict]] = {}
     for symmetric in (False, True):
@@ -368,18 +353,14 @@ def forw_backw_levels(a: ConfStruct, b: ConfStruct) -> LevelFamilies:
         upper: frozenset = frozenset()
         for i in range(depth, -1, -1):
             forward[i] = frozenset(
-                t
-                for t in by_card[i]
-                if _forward_member(t, a, b, upper, symmetric)
+                t for t in by_card[i] if forward_member(t, upper, symmetric)
             )
             upper = forward[i]
         backward: dict[int, frozenset] = {0: forward[0]}
         for i in range(1, depth + 1):
             lower = forward[i - 1] & backward[i - 1]
             backward[i] = frozenset(
-                t
-                for t in forward[i]
-                if _backward_member(t, a, b, lower, symmetric)
+                t for t in forward[i] if answered(t, "backward", lower, symmetric)
             )
         families[symmetric] = (forward, backward)
     return LevelFamilies(

@@ -128,6 +128,8 @@ class TransitionRecord:
     def __post_init__(self) -> None:
         if self.direction not in ("+", "-"):
             raise ValueError("direction is '+' or '-'")
+        if self.ident < 1:
+            raise ValueError("event identifiers are positive")
 
 
 def fwd_rec(ident: int, label: Label) -> TransitionRecord:
@@ -142,16 +144,39 @@ def bwd_rec(ident: int, label: Label) -> TransitionRecord:
 # Basic queries
 
 
-def ids(process: Process) -> frozenset[int]:
+def threads(process: Process):
+    """The threads of a process, left to right."""
+    stack = [process]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Thread):
+            yield node
+        elif isinstance(node, ParP):
+            stack += (node.right, node.left)
+        elif isinstance(node, ResP):
+            stack.append(node.body)
+        else:
+            raise TypeError(f"not a process: {node!r}")
+
+
+def _map_threads(process: Process, f) -> Process:
+    """The process with each thread t replaced by f(t), left to right."""
     if isinstance(process, Thread):
-        return frozenset(
-            item.ident for item in process.memory if isinstance(item, MemEvent)
-        )
+        return f(process)
     if isinstance(process, ParP):
-        return ids(process.left) | ids(process.right)
+        return ParP(_map_threads(process.left, f), _map_threads(process.right, f))
     if isinstance(process, ResP):
-        return ids(process.body)
+        return ResP(_map_threads(process.body, f), process.name)
     raise TypeError(f"not a process: {process!r}")
+
+
+def ids(process: Process) -> frozenset[int]:
+    return frozenset(
+        item.ident
+        for thread in threads(process)
+        for item in thread.memory
+        if isinstance(item, MemEvent)
+    )
 
 
 def erase(process: Process) -> Term:
@@ -217,19 +242,12 @@ def _canon_memory(memory: Memory) -> Memory:
 @lru_cache(maxsize=CACHE_SIZE)
 def exec_form(process: Process) -> Process:
     names = fresh_names(_proc_all_names(process), "rn")
-    return _expand(process, names)
-
-
-def _expand(process: Process, names) -> Process:
-    if isinstance(process, Thread):
-        return _expand_thread(
-            _canon_memory(process.memory), canonical_term(process.code), names
-        )
-    if isinstance(process, ParP):
-        return ParP(_expand(process.left, names), _expand(process.right, names))
-    if isinstance(process, ResP):
-        return ResP(_expand(process.body, names), process.name)
-    raise TypeError(f"not a process: {process!r}")
+    return _map_threads(
+        process,
+        lambda t: _expand_thread(
+            _canon_memory(t.memory), canonical_term(t.code), names
+        ),
+    )
 
 
 def _expand_thread(memory: Memory, code: Term, names) -> Process:
@@ -260,7 +278,10 @@ def normal_form(process: Process) -> Process:
     form = exec_form(process)
     form = _rename_binders(form, {}, fresh_names(proc_free_names(form), "pn"))
     mapping: dict[int, int] = {}
-    _collect_ids(form, mapping)
+    for thread in threads(form):
+        for item in thread.memory:
+            if isinstance(item, MemEvent):
+                mapping.setdefault(item.ident, len(mapping) + 1)
     return _apply_id_map(form, mapping)
 
 
@@ -301,34 +322,15 @@ def _rename_memory(memory: Memory, subst: dict[str, str]) -> Memory:
     return tuple(out)
 
 
-def _collect_ids(process: Process, mapping: dict[int, int]) -> None:
-    if isinstance(process, Thread):
-        for item in process.memory:
-            if isinstance(item, MemEvent) and item.ident not in mapping:
-                mapping[item.ident] = len(mapping) + 1
-    elif isinstance(process, ParP):
-        _collect_ids(process.left, mapping)
-        _collect_ids(process.right, mapping)
-    elif isinstance(process, ResP):
-        _collect_ids(process.body, mapping)
-
-
 def _apply_id_map(process: Process, mapping: dict[int, int]) -> Process:
-    if isinstance(process, Thread):
-        memory = tuple(
-            MemEvent(mapping[item.ident], item.label, item.alternative)
-            if isinstance(item, MemEvent)
-            else FORK
-            for item in process.memory
-        )
-        return Thread(memory, process.code)
-    if isinstance(process, ParP):
-        return ParP(
-            _apply_id_map(process.left, mapping), _apply_id_map(process.right, mapping)
-        )
-    if isinstance(process, ResP):
-        return ResP(_apply_id_map(process.body, mapping), process.name)
-    raise TypeError(f"not a process: {process!r}")
+    def renumber(item):
+        if isinstance(item, MemEvent):
+            return MemEvent(mapping[item.ident], item.label, item.alternative)
+        return FORK
+
+    return _map_threads(
+        process, lambda t: Thread(tuple(map(renumber, t.memory)), t.code)
+    )
 
 
 def congruent(r: Process, s: Process) -> bool:
@@ -336,10 +338,7 @@ def congruent(r: Process, s: Process) -> bool:
 
 
 def substitute_id(process: Process, old: int, new: int) -> Process:
-    mapping: dict[int, int] = {old: new}
-    full = {i: mapping.get(i, i) for i in ids(process)}
-    full[old] = new
-    return _apply_id_map(process, full)
+    return _apply_id_map(process, {i: i for i in ids(process)} | {old: new})
 
 
 # ---------------------------------------------------------------------------
@@ -678,13 +677,7 @@ def rearrange_parabolic(
 
 def addfork(process: Process) -> Process:
     """Insert a fork marker at the base of every thread memory."""
-    if isinstance(process, Thread):
-        return Thread(process.memory + (FORK,), process.code)
-    if isinstance(process, ParP):
-        return ParP(addfork(process.left), addfork(process.right))
-    if isinstance(process, ResP):
-        return ResP(addfork(process.body), process.name)
-    raise TypeError(f"not a process: {process!r}")
+    return _map_threads(process, lambda t: Thread(t.memory + (FORK,), t.code))
 
 
 def instantiate_context(context: CcsContext, process: Process) -> Process:
@@ -706,20 +699,6 @@ _PROC_TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<name>[a-z][a-z0-9_]*)|(?P<num>[1-9][0-9]*)"
     r"|(?P<sym>\|>|\{\}|[!.+|()\\<>,*]|0)"
 )
-
-
-def _tokenize_process(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _PROC_TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
 
 
 class _ProcessParser(_terms._TermParser):
@@ -792,7 +771,7 @@ class _ProcessParser(_terms._TermParser):
 
 
 def parse_process(text: str) -> Process:
-    parser = _ProcessParser(_tokenize_process(text))
+    parser = _ProcessParser(_terms._tokenize(text, _PROC_TOKEN))
     process = parser.parse_process()
     kind, _, pos = parser.peek()
     if kind != "eof":

@@ -141,11 +141,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(
+    text: str, pattern: re.Pattern = _TOKEN_RE
+) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = pattern.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup != "ws":

@@ -47,6 +47,20 @@ def test_fmt_normalises():
     assert out.strip() == "a.b | 0"
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["parse"], ""),
+        (["fmt"], ""),
+        (["encode", "--rccs"], "bad process: "),
+        (["step"], "bad process: "),
+    ],
+)
+def test_unparsable_input_reports_the_parse_that_got_further(argv, prefix):
+    # The term parse fails at the missing ')'; the process parse at once.
+    assert run(argv + ["a.(b"]) == (2, "", f"{prefix}expected ')' at offset 4\n")
+
+
 def test_usage_error_exit_2():
     code, _, err = run(["check", "nonsense", "a", "b"])
     assert code == 2
@@ -185,6 +199,17 @@ def test_axioms_missing_file_exit_2():
     assert err
 
 
+@pytest.mark.parametrize("argv", [["axioms"], ["replay", "a.b"]])
+def test_undecodable_file_exit_2(tmp_path, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\n")
+    code, out, err = run(argv + [str(path)])
+    assert code == 2
+    assert not out
+    (line,) = err.strip().splitlines()
+    assert line.startswith(f"{path}: ") and "can't decode byte 0xff" in line
+
+
 # ---------------------------------------------------------------------------
 # check / levels
 
@@ -303,6 +328,17 @@ def test_replay_malformed_trace_exit_2(tmp_path):
     code, _, err = run(["replay", "{} |> a.b", str(path)])
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("line", ["+ 0:a", "+ -2:a", "- 0:a"])
+def test_replay_nonpositive_identifier_exit_2(tmp_path, line):
+    path = tmp_path / "trace.txt"
+    path.write_text(f"+ 1:a\n{line}\n")
+    code, out, err = run(["replay", "a.b", str(path)])
+    assert code == 2
+    assert not out
+    (message,) = err.strip().splitlines()
+    assert message.startswith("bad trace line 2")
 
 
 def test_channel_named_tau_exit_2(tmp_path):

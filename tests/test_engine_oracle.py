@@ -2,9 +2,11 @@
 
 The reference below is the earlier implementation, in which HHPB and the
 barbed bisimulations each ran their own round-wise refinement loop and
-losing-play walk. On a seeded corpus of term pairs the engine-based
-checkers must return the same verdicts, witnesses and evidence plays,
-and every HHPB losing play must replay as a win for the attacker.
+losing-play walk, and the level families tested membership directly
+instead of reading the HHPB challenges. On a seeded corpus of term pairs
+the engine-based checkers must return the same verdicts, witnesses,
+evidence plays and level tables, and every HHPB losing play must replay
+as a win for the attacker.
 """
 
 from __future__ import annotations
@@ -40,14 +42,17 @@ from rccs.structures import (
     config_backsteps,
     config_steps,
     event_names,
+    is_maximal,
 )
 from rccs.encoding import encode_ccs
 from rccs.equivalences import (
+    LevelFamilies,
     TripleRelation,
     Verdict,
     _all_triples,
     ccs_barbed_bisim,
     cs_bfb_barbed_bisim,
+    forw_backw_levels,
     hhpb,
     matchings,
     rccs_bfb_bisim,
@@ -145,6 +150,89 @@ def ref_hhpb(a: ConfStruct, b: ConfStruct) -> Verdict:
         )
     play = _ref_losing_play(removed, _ROOT, event_names(a), event_names(b), a, b)
     return Verdict("distinguished", evidence={"play": play})
+
+
+# ---------------------------------------------------------------------------
+# Reference: level families by direct membership tests
+
+
+def _ref_forward_member(
+    triple, a: ConfStruct, b: ConfStruct, upper: frozenset, symmetric: bool
+) -> bool:
+    x1, x2, f = triple
+    max1 = is_maximal(a, x1)
+    max2 = is_maximal(b, x2)
+    if max1 or max2:
+        return max1 and max2
+    for e1, y1 in config_steps(a, x1):
+        if not any(
+            (y1, y2, f | {(e1, e2)}) in upper for e2, y2 in config_steps(b, x2)
+        ):
+            return False
+    if symmetric:
+        for e2, y2 in config_steps(b, x2):
+            if not any(
+                (y1, y2, f | {(e1, e2)}) in upper
+                for e1, y1 in config_steps(a, x1)
+            ):
+                return False
+    return True
+
+
+def _ref_backward_member(
+    triple, a: ConfStruct, b: ConfStruct, lower: frozenset, symmetric: bool
+) -> bool:
+    x1, x2, f = triple
+    fwd = dict(f)
+    inv = {v: k for k, v in fwd.items()}
+    for e1, y1 in config_backsteps(a, x1):
+        e2 = fwd[e1]
+        y2 = x2 - {e2}
+        if y2 not in b.configs or (y1, y2, f - {(e1, e2)}) not in lower:
+            return False
+    if symmetric:
+        for e2, y2 in config_backsteps(b, x2):
+            e1 = inv[e2]
+            y1 = x1 - {e1}
+            if y1 not in a.configs or (y1, y2, f - {(e1, e2)}) not in lower:
+                return False
+    return True
+
+
+def ref_forw_backw_levels(a: ConfStruct, b: ConfStruct) -> LevelFamilies:
+    depth = max(
+        [len(x) for x in a.configs] + [len(x) for x in b.configs]
+    )
+    by_card: dict[int, list] = {i: [] for i in range(depth + 1)}
+    for triple in _all_triples(a, b, both_ways=False):
+        by_card[len(triple[0])].append(triple)
+
+    families: dict[bool, tuple[dict, dict]] = {}
+    for symmetric in (False, True):
+        forward: dict[int, frozenset] = {}
+        upper: frozenset = frozenset()
+        for i in range(depth, -1, -1):
+            forward[i] = frozenset(
+                t
+                for t in by_card[i]
+                if _ref_forward_member(t, a, b, upper, symmetric)
+            )
+            upper = forward[i]
+        backward: dict[int, frozenset] = {0: forward[0]}
+        for i in range(1, depth + 1):
+            lower = forward[i - 1] & backward[i - 1]
+            backward[i] = frozenset(
+                t
+                for t in forward[i]
+                if _ref_backward_member(t, a, b, lower, symmetric)
+            )
+        families[symmetric] = (forward, backward)
+    return LevelFamilies(
+        forward=families[False][0],
+        backward=families[False][1],
+        forward_sym=families[True][0],
+        backward_sym=families[True][1],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,3 +581,19 @@ def test_engine_matches_reference_checkers():
         _same(rccs_bfb_bisim(r, s), ref_rccs_bfb_bisim(r, s))
         checked += 1
     assert checked >= 500
+
+
+def test_level_families_match_reference():
+    checked = populated = 0
+    for p, q in _corpus(seed=77, count=520):
+        try:
+            a, b = encode_ccs(p), encode_ccs(q)
+        except EventCapExceeded:
+            continue
+        mine, ref = forw_backw_levels(a, b), ref_forw_backw_levels(a, b)
+        for family in ("forward", "backward", "forward_sym", "backward_sym"):
+            assert getattr(mine, family) == getattr(ref, family), (p, q, family)
+        checked += 1
+        populated += any(ref.backward_sym.values())
+    assert checked >= 500
+    assert populated >= 200
