@@ -354,8 +354,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_levels(args) -> int:
-    left = _load_structure_or_term(args.left)
-    right = _load_structure_or_term(args.right)
+    try:
+        left = _load_structure_or_term(args.left)
+        right = _load_structure_or_term(args.right)
+    except EventCapExceeded as exc:
+        raise _CliError(str(exc), 1)
     families = forw_backw_levels(left, right)
     names1 = event_names(left)
     names2 = event_names(right)
@@ -413,7 +416,10 @@ def _dispatch(argv, stdin) -> int:
     except ValueError as exc:
         raise _CliError(str(exc), 2)
     args = _build_parser().parse_args(argv, argparse.Namespace(stdin=stdin))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        raise _CliError("input nested too deeply", 2)
 
 
 def run(argv, stdin=None) -> tuple[int, str, str]:

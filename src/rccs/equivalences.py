@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
+from math import comb
 from typing import Callable, Iterable
 
 from .terms import (
@@ -57,6 +58,13 @@ from .encoding import encode_ccs, is_singly_labelled
 
 class TauEventInConfig(ValueError):
     """tau events have no complement and cannot be observed by a guard."""
+
+
+# The most contexts congruence_contexts returns. `check congruence a|b
+# b|a` runs 213 contexts at depth 6 in 3.6 s and 333 at depth 7 in 21 s
+# (one core of a 2-vCPU Xeon); a context costs more the more prefixes
+# it has, so the count bounds the work only roughly.
+MAX_CONTEXTS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -564,29 +572,34 @@ def bounded_congruence(
 
 
 def _enumerated_parallel_contexts(names: Iterable[str], depth: int) -> list:
+    """One parallel composition of up to ``depth`` observer prefixes per
+    multiset, since ``|`` is commutative and associative: the components
+    are added in nondecreasing order, depth first."""
     components = []
     for name in sorted(names):
         components.append(prefix_term(inp(name)))
         components.append(prefix_term(out(name)))
     contexts = []
 
-    def build(context: CcsContext, remaining: int):
+    def build(context: CcsContext, remaining: int, start: int):
         if remaining == 0:
             return
-        for component in components:
-            extended = CPar(component, context)
+        for k in range(start, len(components)):
+            extended = CPar(components[k], context)
             contexts.append(extended)
-            build(extended, remaining - 1)
+            build(extended, remaining - 1, k)
 
-    build(HOLE, depth)
+    build(HOLE, depth, 0)
     return contexts
 
 
 def congruence_contexts(p: Term, q: Term, depth: int) -> list[CcsContext]:
     """The contexts a bounded congruence check of p and q runs under: the
     hole, a discriminating context per non-empty configuration without
-    tau events in either encoding, then every parallel composition of
-    up to ``depth`` observer prefixes, without repeats."""
+    tau events in either encoding, then a parallel composition of up to
+    ``depth`` observer prefixes per multiset of them, without repeats.
+
+    Counts them first and raises ValueError past MAX_CONTEXTS."""
     if depth < 0:
         raise ValueError(f"context depth must be at least 0, got {depth}")
     avoid = all_names(p) | all_names(q)
@@ -599,6 +612,11 @@ def congruence_contexts(p: Term, q: Term, depth: int) -> list[CcsContext]:
             ):
                 context = discriminating_context(x, struct.labels, avoid)
                 contexts.setdefault(format_context(context), context)
+    # Multisets of 1..depth of the 2 * len(avoid) prefixes; none prints
+    # like the hole or a guard.
+    count = len(contexts) + comb(2 * len(avoid) + depth, depth) - 1
+    if count > MAX_CONTEXTS:
+        raise ValueError(f"{count} contexts exceed the limit of {MAX_CONTEXTS}")
     for context in _enumerated_parallel_contexts(avoid, depth):
         contexts.setdefault(format_context(context), context)
     return list(contexts.values())

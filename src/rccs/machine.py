@@ -39,6 +39,7 @@ from .terms import (
     fresh_names,
     parse_label,
     rename_free,
+    rename_names,
 )
 from . import terms as _terms
 
@@ -227,13 +228,16 @@ def _proc_all_names(process: Process) -> frozenset[str]:
 # Execution form: distributed memories, hoisted restrictions
 
 
-def _canon_memory(memory: Memory) -> Memory:
+def _canon_memory(memory: Memory, subst: dict[str, str]) -> Memory:
     out = []
     for item in memory:
         if isinstance(item, MemEvent):
-            out.append(
-                MemEvent(item.ident, item.label, canonical_term(item.alternative))
-            )
+            label, alternative = item.label, item.alternative
+            if label.name in subst:
+                label = Label(label.kind, subst[label.name])
+            if not isinstance(alternative, Nil):
+                alternative = canonical_term(rename_names(alternative, subst))
+            out.append(MemEvent(item.ident, label, alternative))
         else:
             out.append(FORK)
     return tuple(out)
@@ -245,23 +249,27 @@ def exec_form(process: Process) -> Process:
     return _map_threads(
         process,
         lambda t: _expand_thread(
-            _canon_memory(t.memory), canonical_term(t.code), names
+            _canon_memory(t.memory, {}), canonical_term(t.code), names
         ),
     )
 
 
-def _expand_thread(memory: Memory, code: Term, names) -> Process:
+def _expand_thread(memory: Memory, code: Term, names, canonical=True) -> Process:
+    """Hoist the restrictions and distribute the memory over the parallel
+    code of a thread with canonical memory and code. Subterms are not
+    canonical on their own, since bound names are numbered over the
+    whole term, so the threads split off are canonicalised again."""
     if isinstance(code, Res):
         fresh = next(names)
         body = rename_free(code.body, code.name, fresh)
-        return ResP(_expand_thread(memory, body, names), fresh)
+        return ResP(_expand_thread(memory, body, names, False), fresh)
     if isinstance(code, Par):
         forked = (FORK,) + memory
         return ParP(
-            _expand_thread(forked, code.left, names),
-            _expand_thread(forked, code.right, names),
+            _expand_thread(forked, code.left, names, False),
+            _expand_thread(forked, code.right, names, False),
         )
-    return Thread(memory, canonical_term(code))
+    return Thread(memory, code if canonical else canonical_term(code))
 
 
 # ---------------------------------------------------------------------------
@@ -275,51 +283,52 @@ def normal_form(process: Process) -> Process:
     Memories distributed, restrictions hoisted, sums sorted, bound names
     renamed canonically, identifiers renumbered by first occurrence.
     """
-    form = exec_form(process)
-    form = _rename_binders(form, {}, fresh_names(proc_free_names(form), "pn"))
+    return _normalise(exec_form(process))
+
+
+def _normalise(form: Process, settled=None) -> Process:
+    """The normal form of a process whose threads are canonical and
+    expanded where ``settled`` (a set of ``id``s; None: everywhere) says
+    so; the other threads are canonicalised and expanded here.
+
+    Binders become pn0, pn1, ... in pre-order, hoisted restrictions
+    included, and a thread whose free names this renames is sorted again
+    under its new names, so a normal form is its own execution form.
+    """
+
+    def binders():  # lazily: most processes restrict nothing
+        yield from fresh_names(proc_free_names(form), "pn")
+
+    names = binders()
+
+    def walk(node: Process, subst: dict) -> Process:
+        if isinstance(node, Thread):
+            if not subst and (settled is None or id(node) in settled):
+                return node
+            return _expand_thread(
+                _canon_memory(node.memory, subst),
+                canonical_term(rename_names(node.code, subst)),
+                names,
+            )
+        if isinstance(node, ParP):
+            return ParP(walk(node.left, subst), walk(node.right, subst))
+        if isinstance(node, ResP):
+            fresh = next(names)
+            inner = {k: v for k, v in subst.items() if k != node.name}
+            if fresh != node.name:
+                inner[node.name] = fresh
+            return ResP(walk(node.body, inner), fresh)
+        raise TypeError(f"not a process: {node!r}")
+
+    result = walk(form, {})
     mapping: dict[int, int] = {}
-    for thread in threads(form):
+    for thread in threads(result):
         for item in thread.memory:
             if isinstance(item, MemEvent):
                 mapping.setdefault(item.ident, len(mapping) + 1)
-    return _apply_id_map(form, mapping)
-
-
-def _rename_binders(process: Process, subst: dict[str, str], names) -> Process:
-    if isinstance(process, Thread):
-        code = process.code
-        memory = process.memory
-        for old, new in subst.items():
-            code = rename_free(code, old, new)
-        memory = _rename_memory(memory, subst)
-        return Thread(memory, code)
-    if isinstance(process, ParP):
-        return ParP(
-            _rename_binders(process.left, subst, names),
-            _rename_binders(process.right, subst, names),
-        )
-    if isinstance(process, ResP):
-        fresh = next(names)
-        inner = dict(subst)
-        inner[process.name] = fresh
-        return ResP(_rename_binders(process.body, inner, names), fresh)
-    raise TypeError(f"not a process: {process!r}")
-
-
-def _rename_memory(memory: Memory, subst: dict[str, str]) -> Memory:
-    out = []
-    for item in memory:
-        if isinstance(item, MemEvent):
-            label = item.label
-            if label.name in subst:
-                label = Label(label.kind, subst[label.name])
-            alt = item.alternative
-            for old, new in subst.items():
-                alt = rename_free(alt, old, new)
-            out.append(MemEvent(item.ident, label, alt))
-        else:
-            out.append(FORK)
-    return tuple(out)
+    if all(old == new for old, new in mapping.items()):
+        return result
+    return _apply_id_map(result, mapping)
 
 
 def _apply_id_map(process: Process, mapping: dict[int, int]) -> Process:
@@ -492,8 +501,8 @@ def _bwd_items(process: Process) -> list:
     if isinstance(process, ParP):
         left_items = _bwd_items(process.left)
         right_items = _bwd_items(process.right)
-        left_ids = ids(process.left)
-        right_ids = ids(process.right)
+        left_ids = ids(process.left) if right_items else ()
+        right_ids = ids(process.right) if left_items else ()
         items = [
             (i, label, ParP(target, process.right))
             for i, label, target in left_items
@@ -521,21 +530,24 @@ def _bwd_items(process: Process) -> list:
     raise TypeError(f"not a process: {process!r}")
 
 
-def observe(process: Process) -> tuple[frozenset, frozenset, frozenset]:
-    """What a barbed observer reads from a state: its barbs and the normal
-    forms of its forward and backward tau-successors.
+def observe(state: Process) -> tuple[frozenset, frozenset, frozenset]:
+    """What a barbed observer reads from a normal form: its barbs and the
+    normal forms of its forward and backward tau-successors.
 
-    Works on one execution form and builds no visible-step target.
+    Builds no visible-step target, and normalises each tau-target by
+    expanding only the threads the step built or refolded.
     """
-    form = exec_form(process)
-    items = _fwd_items(form)
-    fresh = _least_fresh(form)
+    items = _fwd_items(state)
+    fresh = _least_fresh(state)
+    settled = {id(thread) for thread in threads(state)}
     return (
         _barbs(items),
-        frozenset(normal_form(build(fresh)) for label, build in items if label.is_tau),
         frozenset(
-            normal_form(target)
-            for _, label, target in _bwd_items(_refold(form))
+            _normalise(build(fresh), settled) for label, build in items if label.is_tau
+        ),
+        frozenset(
+            _normalise(target, settled)
+            for _, label, target in _bwd_items(_refold(state))
             if label.is_tau
         ),
     )

@@ -154,9 +154,15 @@ class AxiomReport:
         return out
 
 
-def _bounded(c: ConfStruct, x: frozenset, y: frozenset) -> bool:
-    union = x | y
-    return any(union <= z for z in c.configs)
+def _above(configs: list[frozenset]) -> list[int]:
+    """Per configuration, a bit mask of the configurations that contain
+    it: x and y are bounded iff their masks meet."""
+    above = [0] * len(configs)
+    for j, z in enumerate(configs):
+        for i, x in enumerate(configs):
+            if x <= z:
+                above[i] |= 1 << j
+    return above
 
 
 def _check_coincidence(c: ConfStruct) -> tuple | None:
@@ -182,13 +188,14 @@ def _check_finite_completeness(c: ConfStruct) -> tuple | None:
     """
     configs = c.sorted_configs()
     index = {x: i for i, x in enumerate(configs)}
+    above = _above(configs)
     joins = [1 << i for i in range(len(configs))]  # bit j: union with j in C
     for i, x in enumerate(configs):
         for j in range(i + 1, len(configs)):
             if x | configs[j] in index:
                 joins[i] |= 1 << j
                 joins[j] |= 1 << i
-            elif _bounded(c, x, configs[j]):
+            elif above[i] & above[j]:
                 return (x, configs[j])
     # Compatible pairs are now exactly the joins, and the union of a
     # triple is that of the union u of its first two with the third.
@@ -204,11 +211,14 @@ def _check_finite_completeness(c: ConfStruct) -> tuple | None:
 
 
 def _check_stability(c: ConfStruct) -> tuple | None:
+    """Bounded pairs must have their intersection in the family; |C|^2
+    subset tests and mask operations."""
     configs = c.sorted_configs()
+    above = _above(configs)
     for i, x in enumerate(configs):
-        for y in configs[i + 1 :]:
-            if _bounded(c, x, y) and (x & y) not in c.configs:
-                return (x, y)
+        for j in range(i + 1, len(configs)):
+            if above[i] & above[j] and (x & configs[j]) not in c.configs:
+                return (x, configs[j])
     return None
 
 

@@ -349,27 +349,33 @@ def fresh_names(avoid: frozenset[str] | set[str], stem: str = "n") -> Iterator[s
 
 def rename_free(term: Term, old: str, new: str) -> Term:
     """Substitute the free name `old` by `new`; stops under a binder for old."""
-    if isinstance(term, Nil):
+    return rename_names(term, {old: new})
+
+
+def rename_names(term: Term, subst: dict[str, str]) -> Term:
+    """Substitute free names simultaneously, avoiding capture."""
+    if not subst or isinstance(term, Nil):
         return term
     if isinstance(term, Sum):
         branches = []
         for label, cont in term.branches:
-            if label.name == old:
-                label = Label(label.kind, new)
-            branches.append((label, rename_free(cont, old, new)))
+            if label.name in subst:
+                label = Label(label.kind, subst[label.name])
+            branches.append((label, rename_names(cont, subst)))
         return Sum(tuple(branches))
     if isinstance(term, Par):
-        return Par(rename_free(term.left, old, new), rename_free(term.right, old, new))
+        return Par(rename_names(term.left, subst), rename_names(term.right, subst))
     if isinstance(term, Res):
-        if term.name == old:
+        inner = {old: new for old, new in subst.items() if old != term.name}
+        if not inner:
             return term
-        if term.name == new:
+        name, body = term.name, term.body
+        if name in inner.values():
             # rename the binder out of the way to avoid capture
-            avoid = all_names(term) | {old, new}
-            fresh = next(fresh_names(avoid, term.name))
-            body = rename_free(term.body, term.name, fresh)
-            return Res(rename_free(body, old, new), fresh)
-        return Res(rename_free(term.body, old, new), term.name)
+            avoid = all_names(term) | inner.keys() | set(inner.values())
+            fresh = next(fresh_names(avoid, name))
+            name, body = fresh, rename_names(body, {term.name: fresh})
+        return Res(rename_names(body, inner), name)
     raise TypeError(f"not a term: {term!r}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from rccs.terms import Label, NIL, Par, Res, Sum, Term, inp, out
-from rccs.machine import Process, Thread, bwd_steps, fwd_steps
+from rccs.machine import Process, Thread, bwd_steps, format_process, fwd_steps
 from rccs.encoding import is_singly_labelled
 from rccs.structures import EventCapExceeded
 
@@ -92,15 +92,18 @@ def random_singly_term(
 def random_walk(
     rng: random.Random, process: Process, steps: int, forward_bias: float = 0.7
 ) -> Process:
-    """Follow a random mixed trace of at most the given length."""
+    """Follow a random mixed trace of at most the given length.
+
+    Steps are drawn from lists sorted on label, identifier and printed
+    target, so the walk does not depend on the string hash seed."""
+
+    def key(step):
+        return (str(step[1]), step[0], format_process(step[2]))
+
     current = process
     for _ in range(steps):
-        forward = sorted(
-            fwd_steps(current), key=lambda s: (str(s[1]), s[0])
-        )
-        backward = sorted(
-            bwd_steps(current), key=lambda s: (str(s[1]), s[0])
-        )
+        forward = sorted(fwd_steps(current), key=key)
+        backward = sorted(bwd_steps(current), key=key)
         pool = forward if (rng.random() < forward_bias and forward) else backward
         if not pool:
             pool = forward or backward
@@ -123,3 +126,22 @@ def random_coherent(
         else random_term(rng, max_prefixes)
     )
     return random_walk(rng, Thread((), term), rng.randint(0, steps))
+
+
+def expanded(term: Term, guarded: bool = False) -> Term:
+    """The expansion law on every parallel pair of prefixes below a
+    prefix: ``x.P | y.Q`` becomes ``x.(P | y.Q) + y.(x.P | Q)``. Once a
+    synchronisation has forked into the pair, only the reversible game
+    tells the two apart."""
+    if isinstance(term, Sum):
+        return Sum(tuple((l, expanded(c, True)) for l, c in term.branches))
+    if isinstance(term, Res):
+        return Res(expanded(term.body, guarded), term.name)
+    if not isinstance(term, Par):
+        return term
+    left, right = expanded(term.left, guarded), expanded(term.right, guarded)
+    if guarded and isinstance(left, Sum) and isinstance(right, Sum):
+        if len(left.branches) == len(right.branches) == 1:
+            ((x, p),), ((y, q),) = left.branches, right.branches
+            return Sum(((x, Par(p, right)), (y, Par(left, q))))
+    return Par(left, right)

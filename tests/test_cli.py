@@ -267,8 +267,15 @@ def test_check_congruence_keeps_machine_caches_bounded():
     )
     for cache in caches:
         cache.cache_clear()
-    # Together these explore more states than one cache keeps.
-    pairs = [("a.(b|!b) | !a.c", "!a.c | a.(b|!b)"), ("a.b.c | !a.!b", "!a.!b | a.b.c")]
+    # The game itself reads normal forms without the caches, but each
+    # context's two roots are looked up in them. Nine chains of ten
+    # names, each checked under 241 contexts, give more roots than one
+    # cache keeps.
+    letters = "abcdefghijklmnopqr"
+    pairs = []
+    for k in range(9):
+        chain = ".".join(letters[k : k + 10])
+        pairs.append((chain, f"{chain[:-1]}({chain[-1]} + {chain[-1]})"))
     for p, q in pairs:
         code, out, _ = run(["check", "congruence", p, q])
         assert code == 0 and json.loads(out)["verdict"] == "bounded-equivalent"
@@ -286,6 +293,53 @@ def test_check_congruence_negative_depth_exit_2():
     assert code == 2
     assert not out
     assert len(err.strip().splitlines()) == 1 and "depth" in err
+
+
+def test_check_congruence_counts_contexts_as_multisets():
+    # The hole, three guards and the 69 multisets of one to four of the
+    # prefixes a, !a, b, !b; as sequences there were 340.
+    from rccs.equivalences import congruence_contexts
+
+    assert len(congruence_contexts(parse_term("a|b"), parse_term("b|a"), 4)) == 73
+    code, out, _ = run(["check", "congruence", "a|b", "b|a", "--context-depth", "4"])
+    assert code == 0 and json.loads(out)["verdict"] == "bounded-equivalent"
+
+
+def test_check_congruence_refuses_oversized_context_families():
+    # Depth 7 over two names: 329 multisets, the hole and three guards.
+    code, out, err = run(
+        ["check", "congruence", "a|b", "b|a", "--context-depth", "7"]
+    )
+    assert code == 2
+    assert not out
+    assert err == "333 contexts exceed the limit of 256\n"
+
+
+_DEEP = "a." * 399 + "a"  # 300 prefixes printed, 400 overflowed the stack
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", _DEEP],
+        ["fmt", _DEEP],
+        ["encode", "--rccs", _DEEP],
+        ["check", "bfb", _DEEP, "a"],
+        ["check", "barbed-ccs", _DEEP, "a"],
+    ],
+)
+def test_deeply_nested_input_exit_2(argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert not out
+    assert err == "input nested too deeply\n"
+
+
+def test_levels_over_the_event_cap_exit_1():
+    code, out, err = run(["levels", "a." * 16 + "a", "a"])
+    assert code == 1
+    assert not out
+    assert err == "17 events exceed the cap of 16\n"
 
 
 def test_levels_tables():

@@ -7,6 +7,10 @@ instead of reading the HHPB challenges. On a seeded corpus of term pairs
 the engine-based checkers must return the same verdicts, witnesses,
 evidence plays and level tables, and every HHPB losing play must replay
 as a win for the attacker.
+
+The former context generator, which enumerated parallel observer
+contexts as sequences, is the reference for the multiset enumeration:
+on singly labelled pairs both give the same bounded congruence outcome.
 """
 
 from __future__ import annotations
@@ -15,16 +19,22 @@ import random
 from typing import Callable, Iterable
 
 from rccs.terms import (
+    CPar,
+    HOLE,
     Label,
     NIL,
     Par,
     Res,
     Sum,
     Term,
+    all_names,
     barbs,
     canonical_term,
     ccs_step,
     format_term,
+    inp,
+    out,
+    prefix_term,
 )
 from rccs.machine import (
     Process,
@@ -44,13 +54,15 @@ from rccs.structures import (
     event_names,
     is_maximal,
 )
-from rccs.encoding import encode_ccs
+from rccs.encoding import encode_ccs, is_singly_labelled
 from rccs.equivalences import (
     LevelFamilies,
     TripleRelation,
     Verdict,
     _all_triples,
+    bounded_congruence,
     ccs_barbed_bisim,
+    congruence_contexts,
     cs_bfb_barbed_bisim,
     forw_backw_levels,
     hhpb,
@@ -58,7 +70,7 @@ from rccs.equivalences import (
     rccs_bfb_bisim,
 )
 
-from generators import random_term
+from generators import expanded, random_singly_term, random_term
 
 _ROOT = (frozenset(), frozenset(), frozenset())
 
@@ -493,6 +505,46 @@ def _corpus(seed: int, count: int) -> list[tuple[Term, Term]]:
     return pairs
 
 
+def _singly_pairs(seed: int, count: int) -> list[tuple[Term, Term]]:
+    """Singly labelled pairs over two names: a third congruent shuffles, a
+    third deep mutants of a shuffle, a third expansion-law pairs whose
+    inner parallel pair sits below a prefix."""
+    rng = random.Random(seed)
+    labels = [inp("a"), out("a"), inp("b"), out("b")]
+    pairs = []
+    while len(pairs) < count:
+        roll = rng.random()
+        if roll < 2 / 3:
+            p = random_singly_term(rng, max_prefixes=4, alphabet=["a", "b"])
+            q = _shuffled(rng, p) if roll < 1 / 3 else _mutated(rng, _shuffled(rng, p))
+        else:
+            w, x, y, z = rng.sample(labels, 4)
+            p = Par(prefix_term(w, Par(prefix_term(x), prefix_term(y))), prefix_term(z))
+            q = expanded(p)
+        if is_singly_labelled(p) and is_singly_labelled(q):
+            pairs.append((p, q))
+    return pairs
+
+
+def ref_parallel_contexts(names: Iterable[str], depth: int) -> list:
+    """Every sequence of up to ``depth`` observer prefixes, depth first."""
+    components = []
+    for name in sorted(names):
+        components += [prefix_term(inp(name)), prefix_term(out(name))]
+    contexts = []
+
+    def build(context, remaining: int):
+        if remaining == 0:
+            return
+        for component in components:
+            extended = CPar(component, context)
+            contexts.append(extended)
+            build(extended, remaining - 1)
+
+    build(HOLE, depth)
+    return contexts
+
+
 def _same(mine: Verdict, ref: Verdict):
     assert mine.to_jsonable() == ref.to_jsonable()
     assert mine.witness == ref.witness
@@ -597,3 +649,23 @@ def test_level_families_match_reference():
         populated += any(ref.backward_sym.values())
     assert checked >= 500
     assert populated >= 200
+
+
+def test_multiset_contexts_match_sequence_contexts():
+    outcomes = {"bounded-equivalent": 0, "distinguished": 0}
+    for p, q in _singly_pairs(seed=606, count=150):
+        names = all_names(p) | all_names(q)
+        # The hole and the guards, then the sequences.
+        sequences = congruence_contexts(p, q, 0) + ref_parallel_contexts(names, 2)
+        r, s = Thread((), p), Thread((), q)
+        mine = bounded_congruence(r, s, congruence_contexts(p, q, 2))
+        ref = bounded_congruence(r, s, sequences)
+        assert mine.outcome == ref.outcome, (p, q)
+        outcomes[mine.outcome] += 1
+        if mine.outcome == "bounded-equivalent":
+            # One context per multiset, in the order the sequences had.
+            kept = set(mine.witness["contexts"])
+            checked = ref.witness["contexts"]
+            assert [c for c in checked if c in kept] == mine.witness["contexts"]
+            assert len(kept) < len(checked)
+    assert outcomes["distinguished"] >= 50, outcomes

@@ -147,6 +147,57 @@ def test_restriction_inside_code_is_hoisted():
     assert _labels_of(steps) == ["b", "tau"]
 
 
+def test_normal_form_keeps_nested_restrictions_apart():
+    # Firing a renames the outer binders x, y one place on. Renaming one
+    # name at a time made x and y the same channel in the thread x + y,
+    # which lost the synchronisation on y.
+    start = normal_form(
+        Thread((), T("a.((z | !z) \\ z) | ((x + y | !x) \\ x | !y) \\ y"))
+    )
+    (target,) = [t for _, label, t in fwd_steps(start) if str(label) == "a"]
+    form = normal_form(target)
+    assert term_congruent(erase(form), erase(target))
+    assert normal_form(form) == form
+
+
+def test_normal_form_keeps_a_binder_that_shadows_its_own_name():
+    # The outer pn1 becomes pn0; the inner binder keeps its name pn1 and
+    # must hide the outer renaming from its body.
+    start = P("(({} |> pn1 | {} |> !pn1) \\ pn1 | {} |> !pn1) \\ pn1")
+    assert term_congruent(erase(normal_form(start)), erase(start))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # pn0 sorts before q, the temporary name of the hoisted
+        # restriction after it: sums are sorted under the final names.
+        "(x + q | !x) \\ x",
+        # Each side of the fork numbers its bound names from bn0 again.
+        "a.((x | !x) \\ x) | b.((y | !y) \\ y)",
+    ],
+)
+def test_normal_form_is_its_own_execution_form(text):
+    start = Thread((), T(text))
+    form = normal_form(start)
+    assert exec_form(form) == form
+    assert congruent(start, form)
+
+
+def test_memory_alternatives_are_congruent_up_to_bound_names():
+    start = Thread((), T("a.((x | !x) \\ x) + b.((y | !y) \\ y)"))
+    (fired,) = [t for _, label, t in fwd_steps(start) if str(label) == "a"]
+    assert congruent(fired, P("<1,a,b.((z | !z) \\ z)>.{} |> ((x | !x) \\ x)"))
+
+
+def test_normal_form_is_idempotent_on_walks():
+    rng = random.Random(5)
+    for _ in range(200):
+        form = normal_form(random_coherent(rng, max_prefixes=6, steps=5))
+        assert exec_form(form) == form
+        assert normal_form(form) == form
+
+
 # ---------------------------------------------------------------------------
 # Backward rules
 

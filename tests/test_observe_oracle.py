@@ -1,11 +1,13 @@
 """Differential test of the barbed game's observation path.
 
 ``rccs_bfb_bisim`` reads each state through ``machine.observe``, which
-builds only the tau-successors of one execution form. The reference is
-the former game, which read barbs and tau-successors off the full
+takes a normal form, builds only its tau-successors and normalises each
+by expanding only the threads the step built or refolded. The reference
+is the former game, which read barbs and tau-successors off the full
 ``fwd_steps``/``bwd_steps`` transition sets (``ref_rccs_bfb_bisim``). On
 seeded processes under observer contexts with synchronising guards and
-restrictions, both must return the same verdict, witness and play.
+restrictions, both must return the same verdict, witness and play, and
+every state the former game explored must read the same both ways.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 import rccs
-from rccs.terms import Par, Res, Sum, Term, format_context, inp, out, prefix_term
+from rccs.terms import Par, Res, Term, format_context, inp, out, prefix_term
 from rccs.machine import (
     Process,
     Thread,
@@ -37,7 +39,7 @@ from rccs.machine import (
 )
 from rccs.equivalences import congruence_contexts, rccs_bfb_bisim
 
-from generators import random_coherent, random_term, random_walk
+from generators import expanded, random_coherent, random_term, random_walk
 from test_engine_oracle import _mutated, _shuffled, ref_rccs_bfb_bisim
 
 
@@ -48,25 +50,6 @@ def former_observe(state: Process) -> tuple:
         frozenset(normal_form(t) for _, label, t in fwd_steps(state) if label.is_tau),
         frozenset(normal_form(t) for _, label, t in bwd_steps(state) if label.is_tau),
     )
-
-
-def _expanded(term: Term, guarded: bool = False) -> Term:
-    """The expansion law on every parallel pair of prefixes below a
-    prefix: ``x.P | y.Q`` becomes ``x.(P | y.Q) + y.(x.P | Q)``. Once a
-    synchronisation has forked into the pair, only the reversible game
-    tells the two apart."""
-    if isinstance(term, Sum):
-        return Sum(tuple((l, _expanded(c, True)) for l, c in term.branches))
-    if isinstance(term, Res):
-        return Res(_expanded(term.body, guarded), term.name)
-    if not isinstance(term, Par):
-        return term
-    left, right = _expanded(term.left, guarded), _expanded(term.right, guarded)
-    if guarded and isinstance(left, Sum) and isinstance(right, Sum):
-        if len(left.branches) == len(right.branches) == 1:
-            ((x, p),), ((y, q),) = left.branches, right.branches
-            return Sum(((x, Par(p, right)), (y, Par(left, q))))
-    return Par(left, right)
 
 
 def _pair(rng: random.Random) -> tuple[Term, Term]:
@@ -88,7 +71,7 @@ def _pair(rng: random.Random) -> tuple[Term, Term]:
     if rng.random() < 0.45:
         p = Res(p, rng.choice(alphabet))
     if forked:
-        return p, _expanded(p)
+        return p, expanded(p)
     roll = rng.random()
     if roll < 0.3:
         q = _shuffled(rng, p)
@@ -119,12 +102,31 @@ def _instances(seed: int, count: int):
             count -= 1
 
 
+def _former_readings(process: Process) -> dict:
+    """Every state the former game explored from a process, with the
+    former reading of each."""
+    readings = {}
+    stack = [normal_form(process)]
+    while stack:
+        state = stack.pop()
+        if state not in readings:
+            readings[state] = reading = former_observe(state)
+            stack.extend(reading[1] | reading[2])
+    return readings
+
+
 def test_observation_path_matches_former_game():
     outcomes = {"equivalent": 0, "distinguished": 0}
-    guards = restricted = moves = 0
+    guards = restricted = moves = states = 0
     for context, r, s in _instances(seed=4242, count=520):
         mine = rccs_bfb_bisim(r, s)
         assert mine.to_jsonable() == ref_rccs_bfb_bisim(r, s).to_jsonable(), context
+        # Each state read as the former game read it; the reference has
+        # just filled the machine caches with these states.
+        for process in (r, s):
+            for state, reading in _former_readings(process).items():
+                assert observe(normal_form(state)) == reading, format_process(state)
+                states += 1
         outcomes[mine.outcome] += 1
         guards += "+" in format_context(context)
         restricted += "\\" in format_process(r)
@@ -132,13 +134,15 @@ def test_observation_path_matches_former_game():
             moves += len(mine.evidence["play"]) >= 2
     assert min(outcomes.values()) >= 100
     assert guards >= 100 and restricted >= 100 and moves >= 50
+    assert states >= 4000
 
 
 def test_observe_matches_former_reading():
+    # observe takes a normal form; the former reading took any process.
     rng = random.Random(99)
     for _ in range(300):
         process = random_coherent(rng, max_prefixes=6, steps=5)
-        assert observe(process) == former_observe(process)
+        assert observe(normal_form(process)) == former_observe(process)
 
 
 def test_barbed_game_does_not_depend_on_hash_order():

@@ -1,9 +1,11 @@
 """The structure layer against the exhaustive algorithms it replaced.
 
-Two former implementations are kept here as oracles:
+Three former implementations are kept here as oracles:
 
 - finite completeness checked on every pairwise-compatible family of
   configurations, not only on pairs and triples;
+- stability checked by scanning every configuration for an upper bound
+  of each pair, in O(|C|^3);
 - ``parallel`` as the full product, relabelled so that every pair event
   that does not synchronise carries a zero label, then restricted to the
   events not labelled zero.
@@ -62,6 +64,17 @@ def exhaustive_finite_completeness(c: ConfStruct) -> tuple | None:
 
     if not extend([], frozenset(), 0):
         return witness[0]
+    return None
+
+
+def cubic_stability(c: ConfStruct) -> tuple | None:
+    """The first bounded pair, in sorted order, whose intersection is not
+    a configuration."""
+    configs = c.sorted_configs()
+    for i, x in enumerate(configs):
+        for y in configs[i + 1 :]:
+            if any(x | y <= z for z in c.configs) and (x & y) not in c.configs:
+                return (x, y)
     return None
 
 
@@ -177,6 +190,17 @@ def test_finite_completeness_matches_exhaustive_oracle():
     assert outcomes["valid"] >= 1000, outcomes
     assert outcomes[2] >= 400, outcomes
     assert outcomes[3] >= 80, outcomes
+
+
+def test_stability_matches_cubic_oracle():
+    rng = random.Random(4103)
+    outcomes = Counter()
+    for _ in range(3000):
+        c = random_structure(rng)
+        witness = validate_axioms(c).stability
+        assert witness == cubic_stability(c), c.configs
+        outcomes["valid" if witness is None else "witness"] += 1
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 # ---------------------------------------------------------------------------
