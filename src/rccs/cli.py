@@ -364,23 +364,19 @@ def _cmd_levels(args) -> int:
     names2 = event_names(right)
 
     def render(family: dict) -> dict:
-        table = {}
-        for level in sorted(family):
-            table[str(level)] = [
+        # Rows sorted on the whole rendering, matching included, so that
+        # tied rows do not come out in set iteration order.
+        return {
+            str(level): sorted(
                 [
                     sorted(names1[e] for e in x1),
                     sorted(names2[e] for e in x2),
                     sorted([names1[a], names2[b]] for a, b in f),
                 ]
-                for x1, x2, f in sorted(
-                    family[level],
-                    key=lambda t: (
-                        sorted(names1[e] for e in t[0]),
-                        sorted(names2[e] for e in t[1]),
-                    ),
-                )
-            ]
-        return table
+                for x1, x2, f in family[level]
+            )
+            for level in sorted(family)
+        }
 
     print(
         json.dumps(

@@ -27,13 +27,11 @@ from .terms import (
 from .machine import (
     MemEvent,
     Process,
-    Thread,
     UnsupportedContext,
     erase,
-    exec_form,
-    fwd_steps,
+    forward_by,
     rollback,
-    substitute_id,
+    terminal_origin,
     threads,
 )
 from . import machine
@@ -44,10 +42,8 @@ from .structures import (
     causes,
     config_steps,
     coproduct,
-    iso,
     parallel,
     prefix,
-    remove_config,
     residual,  # re-exported: the structure after executing a configuration
     restrict_name,
 )
@@ -106,7 +102,9 @@ def memory_order(process: Process) -> frozenset[tuple[int, int]]:
     glued across shared synchronisation identifiers and closed
     transitively."""
     edges: set[tuple[int, int]] = set()
-    for thread in threads(exec_form(process)):
+    # Expanding a thread copies its memory chain to each new thread, so
+    # the execution form has the same chains and the same order.
+    for thread in threads(process):
         # Identifiers of one thread, deepest (oldest) first.
         chain = [
             item.ident
@@ -156,12 +154,8 @@ def _match_label(process_label: Label, event_label) -> bool:
 
 def encode_rccs(process: Process) -> Address:
     """Address a coherent process inside its origin's encoding."""
-    terminal, undo = rollback(exec_form(process))
-    start = canonical_term(erase(terminal))
-    if not machine.congruent(terminal, Thread((), start)):
-        raise machine.NotCoherent(
-            f"rollback stuck at {machine.format_process(terminal)}"
-        )
+    terminal, undo = rollback(process)
+    start = terminal_origin(terminal).code
     structure = encode_ccs(start)
     if not is_singly_labelled(structure):
         raise NotSinglyLabelled(format_term(start))
@@ -177,18 +171,14 @@ def encode_rccs(process: Process) -> Address:
     return Address(structure, at, match)
 
 
-def _forward_by(process: Process, ident: int, label: Label) -> Process:
-    matches = [
-        (i, l, target) for i, l, target in fwd_steps(process) if l == label
-    ]
-    if len(matches) != 1:
+def _forward_by(form: Process, ident: int, label: Label) -> Process:
+    targets = forward_by(form, ident, label)
+    if len(targets) != 1:
         raise AddressFailure(
-            f"{len(matches)} forward steps labelled {label} from "
-            f"{machine.format_process(process)}"
+            f"{len(targets)} forward steps labelled {label} from "
+            f"{machine.format_process(form)}"
         )
-    offered, _, target = matches[0]
-    if offered != ident:
-        target = substitute_id(target, offered, ident)
+    (target,) = targets
     return target
 
 
@@ -214,13 +204,6 @@ def _address_step(
             for j in match
         ):
             candidates.append(event)
-    if len(candidates) > 1:
-        derivative = encode_ccs(canonical_term(erase(target)))
-        candidates = [
-            event
-            for event in candidates
-            if iso(remove_config(structure, at | {event}), derivative) is not None
-        ]
     if len(candidates) != 1:
         raise AddressFailure(
             f"{len(candidates)} events address step ({ident}, {label})"

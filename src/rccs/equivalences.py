@@ -265,10 +265,13 @@ def _hhpb_moves(a: ConfStruct, b: ConfStruct) -> Callable:
 
     def moves(triple):
         x1, x2, f = triple
-        steps1, steps2 = config_steps(a, x1), config_steps(b, x2)
-        for e1, y1 in sorted(steps1, key=key1):
+        # Answers in _ekey order too: which of several tied answers a
+        # play reports must not depend on the iteration order of sets.
+        steps1 = sorted(config_steps(a, x1), key=key1)
+        steps2 = sorted(config_steps(b, x2), key=key2)
+        for e1, y1 in steps1:
             yield (1, "forward", e1), [(y1, y2, f | {(e1, e2)}) for e2, y2 in steps2]
-        for e2, y2 in sorted(steps2, key=key2):
+        for e2, y2 in steps2:
             yield (2, "forward", e2), [(y1, y2, f | {(e1, e2)}) for e1, y1 in steps1]
         image = dict(f)
         for e1, y1 in sorted(config_backsteps(a, x1), key=key1):

@@ -9,14 +9,15 @@ distributed over parallel code, thread-level restrictions are hoisted to
 process level under fresh bound names, and all terms are locally
 canonical. Backward steps work on a refolded view that undoes the
 distribution so that fork markers and synchronisations are undone
-jointly.
+jointly. A step target is brought into execution form where the step
+touched it: only the threads the step built or refolded are expanded,
+and the functions here keep no state between calls.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .terms import (
     NIL,
@@ -56,10 +57,6 @@ class ReplayError(ValueError):
 
 class UnsupportedContext(ValueError):
     """Only hole and nested parallel contexts can monitor a process."""
-
-
-# Entries kept by each of the caches below; the least recently used go first.
-CACHE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +240,33 @@ def _canon_memory(memory: Memory, subst: dict[str, str]) -> Memory:
     return tuple(out)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def exec_form(process: Process) -> Process:
-    names = fresh_names(_proc_all_names(process), "rn")
-    return _map_threads(
-        process,
-        lambda t: _expand_thread(
-            _canon_memory(t.memory, {}), canonical_term(t.code), names
-        ),
-    )
+    return _expand(process)
+
+
+def _thread_ids(form: Process) -> set[int]:
+    """The ``id``s of a form's threads: those a step leaves settled."""
+    return {id(thread) for thread in threads(form)}
+
+
+def _expand(process: Process, settled=()) -> Process:
+    """The execution form of a process whose threads are in execution
+    form where ``settled`` (a set of ``id``s) says so; the other threads
+    are canonicalised and expanded here, under names fresh for the whole
+    process, so the result is ``exec_form`` of the process."""
+
+    def binders():  # lazily: most steps hoist nothing
+        yield from fresh_names(_proc_all_names(process), "rn")
+
+    names = binders()
+
+    def expand(thread: Thread) -> Process:
+        if id(thread) in settled:
+            return thread
+        memory = _canon_memory(thread.memory, {})
+        return _expand_thread(memory, canonical_term(thread.code), names)
+
+    return _map_threads(process, expand)
 
 
 def _expand_thread(memory: Memory, code: Term, names, canonical=True) -> Process:
@@ -276,7 +291,6 @@ def _expand_thread(memory: Memory, code: Term, names, canonical=True) -> Process
 # Normal form and congruence
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def normal_form(process: Process) -> Process:
     """Canonical representative modulo structural congruence.
 
@@ -346,21 +360,30 @@ def congruent(r: Process, s: Process) -> bool:
     return normal_form(r) == normal_form(s)
 
 
-def substitute_id(process: Process, old: int, new: int) -> Process:
-    return _apply_id_map(process, {i: i for i in ids(process)} | {old: new})
-
-
 # ---------------------------------------------------------------------------
 # Forward steps
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def fwd_steps(process: Process) -> frozenset[tuple[int, Label, Process]]:
     """All forward transitions, offering the least unused identifier."""
-    form = exec_form(process)
+    return _form_fwd_steps(exec_form(process))
+
+
+def _form_fwd_steps(form: Process) -> frozenset[tuple[int, Label, Process]]:
     fresh = _least_fresh(form)
+    settled = _thread_ids(form)
     return frozenset(
-        (fresh, label, exec_form(build(fresh))) for label, build in _fwd_items(form)
+        (fresh, label, _expand(build(fresh), settled))
+        for label, build in _fwd_items(form)
+    )
+
+
+def forward_by(form: Process, ident: int, label: Label) -> frozenset[Process]:
+    """The targets of an execution form's forward steps labelled
+    ``label``, their new event numbered ``ident``; only those are built."""
+    settled = _thread_ids(form)
+    return frozenset(
+        _expand(build(ident), settled) for l, build in _fwd_items(form) if l == label
     )
 
 
@@ -478,13 +501,16 @@ def _sum_restore(label: Label, code: Term, alternative: Term) -> Term | None:
     return None
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def bwd_steps(process: Process) -> frozenset[tuple[int, Label, Process]]:
     """All backward transitions; synchronisations are undone jointly."""
-    form = _refold(exec_form(process))
+    return _form_bwd_steps(exec_form(process))
+
+
+def _form_bwd_steps(form: Process) -> frozenset[tuple[int, Label, Process]]:
+    settled = _thread_ids(form)
     return frozenset(
-        (ident, label, exec_form(target))
-        for ident, label, target in _bwd_items(form)
+        (ident, label, _expand(target, settled))
+        for ident, label, target in _bwd_items(_refold(form))
     )
 
 
@@ -539,7 +565,7 @@ def observe(state: Process) -> tuple[frozenset, frozenset, frozenset]:
     """
     items = _fwd_items(state)
     fresh = _least_fresh(state)
-    settled = {id(thread) for thread in threads(state)}
+    settled = _thread_ids(state)
     return (
         _barbs(items),
         frozenset(
@@ -567,7 +593,7 @@ def rollback(process: Process) -> tuple[Process, list[TransitionRecord]]:
     current = exec_form(process)
     records: list[TransitionRecord] = []
     while True:
-        steps = bwd_steps(current)
+        steps = _form_bwd_steps(current)
         if not steps:
             return current, records
         ident, label, target = min(steps, key=_step_key)
@@ -577,9 +603,14 @@ def rollback(process: Process) -> tuple[Process, list[TransitionRecord]]:
 
 def origin(process: Process) -> Process:
     """The empty-memory ancestor, as a single thread; NotCoherent if stuck."""
-    terminal, _ = rollback(process)
+    return terminal_origin(rollback(process)[0])
+
+
+def terminal_origin(terminal: Process) -> Process:
+    """The origin of the execution form a rollback stopped at: its code
+    under empty memory, if the two are congruent; NotCoherent if not."""
     candidate = Thread(EMPTY, canonical_term(erase(terminal)))
-    if not congruent(terminal, candidate):
+    if _normalise(terminal) != normal_form(candidate):
         raise NotCoherent(f"rollback stuck at {format_process(terminal)}")
     return candidate
 
@@ -599,11 +630,11 @@ def all_rollback_terminals(process: Process) -> frozenset[Process]:
     stack = [exec_form(process)]
     while stack:
         current = stack.pop()
-        key = normal_form(current)
+        key = _normalise(current)
         if key in seen:
             continue
         seen.add(key)
-        steps = bwd_steps(current)
+        steps = _form_bwd_steps(current)
         if not steps:
             terminals.add(key)
         else:
@@ -621,31 +652,20 @@ def replay(src: Process, trace: list[TransitionRecord]) -> Process:
         if record.direction == "+":
             if record.ident in ids(current):
                 raise ReplayError(f"identifier {record.ident} already in use", index)
-            steps = fwd_steps(current)
-            matches = [
-                (i, label, target)
-                for i, label, target in steps
-                if label == record.label
-            ]
-            if not matches:
-                raise ReplayError("no matching forward transition", index)
-            if len(matches) > 1:
-                raise ReplayError("ambiguous forward transition", index)
-            offered, _, target = matches[0]
-            if offered != record.ident:
-                target = substitute_id(target, offered, record.ident)
-            current = target
+            targets = forward_by(current, record.ident, record.label)
+            direction = "forward"
         else:
-            matches = [
-                (i, label, target)
-                for i, label, target in bwd_steps(current)
+            targets = [
+                target
+                for i, label, target in _form_bwd_steps(current)
                 if i == record.ident and label == record.label
             ]
-            if not matches:
-                raise ReplayError("no matching backward transition", index)
-            if len(matches) > 1:
-                raise ReplayError("ambiguous backward transition", index)
-            current = matches[0][2]
+            direction = "backward"
+        if not targets:
+            raise ReplayError(f"no matching {direction} transition", index)
+        if len(targets) > 1:
+            raise ReplayError(f"ambiguous {direction} transition", index)
+        (current,) = targets
     return current
 
 

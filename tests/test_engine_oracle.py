@@ -83,13 +83,16 @@ def _ref_hhpb_violation(triple, live, candidates, a, b):
     x1, x2, f = triple
     fwd = dict(f)
     inv = {v: k for k, v in fwd.items()}
-    for e1, y1 in sorted(config_steps(a, x1), key=lambda s: _ekey(s[0])):
-        answers = [(y1, y2, f | {(e1, e2)}) for e2, y2 in config_steps(b, x2)]
+    # Answers in _ekey order too, so a tied play does not depend on hash order.
+    steps1 = sorted(config_steps(a, x1), key=lambda s: _ekey(s[0]))
+    steps2 = sorted(config_steps(b, x2), key=lambda s: _ekey(s[0]))
+    for e1, y1 in steps1:
+        answers = [(y1, y2, f | {(e1, e2)}) for e2, y2 in steps2]
         answers = [t for t in answers if t in candidates]
         if not any(t in live for t in answers):
             return (1, "forward", e1, answers)
-    for e2, y2 in sorted(config_steps(b, x2), key=lambda s: _ekey(s[0])):
-        answers = [(y1, y2, f | {(e1, e2)}) for e1, y1 in config_steps(a, x1)]
+    for e2, y2 in steps2:
+        answers = [(y1, y2, f | {(e1, e2)}) for e1, y1 in steps1]
         answers = [t for t in answers if t in candidates]
         if not any(t in live for t in answers):
             return (2, "forward", e2, answers)
@@ -373,32 +376,35 @@ def ref_ccs_barbed_bisim(p: Term, q: Term) -> Verdict:
     )
 
 
-def ref_rccs_bfb_bisim(r: Process, s: Process) -> Verdict:
-    r0 = normal_form(r)
-    s0 = normal_form(s)
+def former_observe(state: Process) -> tuple:
+    """Barbs and normal tau-successors, read off the full transition sets."""
+    fwd, bwd = fwd_steps(state), bwd_steps(state)
+    return (
+        frozenset(label for _, label, _ in fwd if not label.is_tau),
+        frozenset(normal_form(t) for _, label, t in fwd if label.is_tau),
+        frozenset(normal_form(t) for _, label, t in bwd if label.is_tau),
+    )
 
-    def tau_fwd(state: Process) -> frozenset:
-        return frozenset(
-            normal_form(t) for _, label, t in fwd_steps(state) if label.is_tau
-        )
 
-    def tau_bwd(state: Process) -> frozenset:
-        return frozenset(
-            normal_form(t) for _, label, t in bwd_steps(state) if label.is_tau
-        )
+def ref_rccs_bfb_bisim(r: Process, s: Process, readings=None) -> Verdict:
+    """``readings`` memoises ``former_observe`` per state; a caller may
+    pass one dict to share it across calls."""
+    readings = {} if readings is None else readings
+
+    def read(state: Process) -> tuple:
+        if state not in readings:
+            readings[state] = former_observe(state)
+        return readings[state]
 
     def both(state: Process):
-        return tau_fwd(state) | tau_bwd(state)
+        return read(state)[1] | read(state)[2]
 
-    states1 = _closure([r0], both)
-    states2 = _closure([s0], both)
-    moves1 = {st: {"tau+": tau_fwd(st), "tau-": tau_bwd(st)} for st in states1}
-    moves2 = {st: {"tau+": tau_fwd(st), "tau-": tau_bwd(st)} for st in states2}
-    def barbs_of(state: Process) -> frozenset:
-        return frozenset(l for _, l, _ in fwd_steps(state) if not l.is_tau)
-
-    obs1 = {st: barbs_of(st) for st in states1}
-    obs2 = {st: barbs_of(st) for st in states2}
+    r0, s0 = normal_form(r), normal_form(s)
+    states1, states2 = _closure([r0], both), _closure([s0], both)
+    moves1 = {st: {"tau+": read(st)[1], "tau-": read(st)[2]} for st in states1}
+    moves2 = {st: {"tau+": read(st)[1], "tau-": read(st)[2]} for st in states2}
+    obs1 = {st: read(st)[0] for st in states1}
+    obs2 = {st: read(st)[0] for st in states2}
     return _ref_pair_refine(
         states1, states2, moves1, moves2, obs1, obs2, (r0, s0),
         format_process, format_process,

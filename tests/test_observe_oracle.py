@@ -40,16 +40,7 @@ from rccs.machine import (
 from rccs.equivalences import congruence_contexts, rccs_bfb_bisim
 
 from generators import expanded, random_coherent, random_term, random_walk
-from test_engine_oracle import _mutated, _shuffled, ref_rccs_bfb_bisim
-
-
-def former_observe(state: Process) -> tuple:
-    """Barbs and tau-successors as the former game read them."""
-    return (
-        frozenset(label for _, label, _ in fwd_steps(state) if not label.is_tau),
-        frozenset(normal_form(t) for _, label, t in fwd_steps(state) if label.is_tau),
-        frozenset(normal_form(t) for _, label, t in bwd_steps(state) if label.is_tau),
-    )
+from test_engine_oracle import _mutated, _shuffled, former_observe, ref_rccs_bfb_bisim
 
 
 def _pair(rng: random.Random) -> tuple[Term, Term]:
@@ -102,29 +93,33 @@ def _instances(seed: int, count: int):
             count -= 1
 
 
-def _former_readings(process: Process) -> dict:
+def _former_readings(process: Process, readings: dict) -> dict:
     """Every state the former game explored from a process, with the
-    former reading of each."""
-    readings = {}
+    former reading of each, taken from ``readings`` where it is there."""
+    explored = {}
     stack = [normal_form(process)]
     while stack:
         state = stack.pop()
-        if state not in readings:
-            readings[state] = reading = former_observe(state)
+        if state not in explored:
+            if state not in readings:
+                readings[state] = former_observe(state)
+            explored[state] = reading = readings[state]
             stack.extend(reading[1] | reading[2])
-    return readings
+    return explored
 
 
 def test_observation_path_matches_former_game():
     outcomes = {"equivalent": 0, "distinguished": 0}
     guards = restricted = moves = states = 0
+    readings: dict = {}  # the former reading of each state, read once
     for context, r, s in _instances(seed=4242, count=520):
         mine = rccs_bfb_bisim(r, s)
-        assert mine.to_jsonable() == ref_rccs_bfb_bisim(r, s).to_jsonable(), context
+        ref = ref_rccs_bfb_bisim(r, s, readings)
+        assert mine.to_jsonable() == ref.to_jsonable(), context
         # Each state read as the former game read it; the reference has
-        # just filled the machine caches with these states.
+        # just read these states.
         for process in (r, s):
-            for state, reading in _former_readings(process).items():
+            for state, reading in _former_readings(process, readings).items():
                 assert observe(normal_form(state)) == reading, format_process(state)
                 states += 1
         outcomes[mine.outcome] += 1
@@ -181,3 +176,20 @@ def test_normal_form_sees_through_exec_form_property(rng):
     process = random_coherent(rng, max_prefixes=6, steps=5)
     for p in [process, *_unnormalised_targets(process)]:
         assert normal_form(exec_form(p)) == normal_form(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_step_targets_are_execution_forms_property(rng):
+    # The step functions expand only the threads a step built or
+    # refolded; each target must still be exec_form of what was built.
+    # Walks on the observer pairs reach forked and restricted code, and
+    # the targets' own steps are checked too.
+    process = random_walk(rng, Thread((), _pair(rng)[0]), rng.randint(0, 4))
+    form = exec_form(process)
+    assert exec_form(form) == form
+    for state in [process, *(t for _, _, t in fwd_steps(form) | bwd_steps(form))]:
+        targets = {t for _, _, t in fwd_steps(state) | bwd_steps(state)}
+        assert targets == {exec_form(t) for t in _unnormalised_targets(state)}
+        for target in targets:
+            assert exec_form(target) == target
