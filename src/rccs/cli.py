@@ -8,6 +8,7 @@ stderr, never as a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -65,6 +66,7 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message, 2)
 
 
+@functools.cache  # one per process: building it costs more than most commands
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rccs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -418,6 +420,17 @@ def _dispatch(argv, stdin) -> int:
         raise _CliError("input nested too deeply", 2)
 
 
+def _exit_code(argv, stdin) -> int:
+    """Execute one invocation; an error is reported on stderr as one line."""
+    try:
+        return _dispatch(argv, stdin)
+    except _CliError as exc:
+        print(str(exc), file=sys.stderr)
+        return exc.code
+    except SystemExit as exc:  # argparse --help
+        return 0 if not exc.code else 2
+
+
 def run(argv, stdin=None) -> tuple[int, str, str]:
     """Execute one invocation, capturing stdout and stderr."""
     out = io.StringIO()
@@ -429,24 +442,13 @@ def run(argv, stdin=None) -> tuple[int, str, str]:
             stdin = stdin.decode("utf-8")
         stdin = io.StringIO(stdin)
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = _dispatch(list(argv), stdin)
-        except _CliError as exc:
-            print(str(exc), file=sys.stderr)
-            code = exc.code
-        except SystemExit as exc:  # argparse --help
-            code = 0 if not exc.code else 2
+        code = _exit_code(list(argv), stdin)
     return code, out.getvalue(), err.getvalue()
 
 
 def main() -> None:
     try:
-        code = _dispatch(sys.argv[1:], sys.stdin)
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        code = exc.code
-    except SystemExit as exc:
-        code = 0 if not exc.code else 2
+        code = _exit_code(sys.argv[1:], sys.stdin)
     except BrokenPipeError:
         code = 0
     sys.exit(code)

@@ -251,59 +251,38 @@ def _product_configs(a: ConfStruct, b: ConfStruct, candidates: list) -> list:
 
     Such a set uses each event of a and of b at most once, projects onto
     configurations of both, and separates every two of its events by a
-    subset that does too. The cap is checked before the search, which
-    is exponential in the number of candidates.
+    subset that does too. For a and b stable and finitely complete, as
+    every encoding is, these are the sets secured from the empty set
+    (van Glabbeek & Plotkin, TCS 2009): grown one event at a time with
+    both projections configurations at every step. The search grows
+    them, at a cost of configurations times candidates.
     """
     _check_cap(len(candidates))
-
-    def proj1(x: Iterable) -> frozenset:
-        return frozenset(e[1] for e in x if e[1] is not STAR)
-
-    def proj2(x: Iterable) -> frozenset:
-        return frozenset(e[2] for e in x if e[2] is not STAR)
-
-    def proj_valid(z: frozenset) -> bool:
-        return proj1(z) in a.configs and proj2(z) in b.configs
-
-    def coincidence_ok(x: tuple) -> bool:
-        xset = frozenset(x)
-        subsets = [frozenset()]
-        for event in x:
-            subsets += [s | {event} for s in subsets]
-        valid = [s for s in subsets if proj_valid(s)]
-        for i, e1 in enumerate(x):
-            for e2 in x[i + 1 :]:
-                if not any(
-                    s <= xset and ((e1 in s) != (e2 in s)) for s in valid
-                ):
-                    return False
-        return True
-
-    configs: list[frozenset] = []
-
-    def search(start: int, chosen: tuple, used1: frozenset, used2: frozenset):
-        if proj_valid(frozenset(chosen)) and coincidence_ok(chosen):
-            configs.append(frozenset(chosen))
-        for k in range(start, len(candidates)):
-            event = candidates[k]
+    empty = frozenset()
+    found = {empty}
+    work = [(empty, empty, empty)]  # a configuration and its projections
+    for x, x1, x2 in work:
+        for event in candidates:
             _, left, right = event
-            if left is not STAR and left in used1:
+            if left in x1 or right in x2:  # a component already used
                 continue
-            if right is not STAR and right in used2:
+            y1 = x1 if left is STAR else x1 | {left}
+            y2 = x2 if right is STAR else x2 | {right}
+            if y1 not in a.configs or y2 not in b.configs:
                 continue
-            search(
-                k + 1,
-                chosen + (event,),
-                used1 | ({left} if left is not STAR else frozenset()),
-                used2 | ({right} if right is not STAR else frozenset()),
-            )
-
-    search(0, (), frozenset(), frozenset())
-    return configs
+            y = x | {event}
+            if y not in found:
+                found.add(y)
+                work.append((y, y1, y2))
+    return [x for x, _, _ in work]
 
 
 def product(a: ConfStruct, b: ConfStruct) -> tuple[ConfStruct, dict, dict]:
-    """Categorical product; returns the structure and both projections."""
+    """Categorical product; returns the structure and both projections.
+
+    Its configurations are those of the definition when a and b satisfy
+    stability and finite completeness, as every encoding does.
+    """
     labels = _solo_events(a, b)
     labels.update(
         {

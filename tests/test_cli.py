@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import rccs
-from rccs.cli import run
+from rccs.cli import _build_parser, run
 from rccs.structures import from_json, iso
 from rccs.encoding import encode_ccs
 from rccs.terms import parse_term
@@ -91,6 +91,20 @@ def test_encode_cap_bounds_the_result_not_the_product():
     code, out, err = run(["encode", "a.b.c.d|e.f.g.h"])
     assert code == 0, err
     assert len(json.loads(out)["events"]) == 8
+
+
+def test_encode_inputs_the_cap_admits_finish(monkeypatch):
+    # 2^12 configurations: quick when they are grown one event at a
+    # time, seconds for a search that walks subsets.
+    monkeypatch.setenv("RCCS_EVENT_CAP", "12")
+    code, out, err = run(["encode", "|".join(["a"] * 12)])
+    assert code == 0, err
+    assert len(json.loads(out)["configs"]) == 4096
+    assert run(["encode", "|".join(["a"] * 13)]) == (
+        1,
+        "",
+        "13 events exceed the cap of 12\n",
+    )
 
 
 def test_encode_dot():
@@ -468,6 +482,27 @@ def test_hhpb_play_and_levels_do_not_depend_on_allocation_history():
     assert len(outputs) == 1
     play = json.loads(outputs.pop().splitlines()[0])["evidence"]["play"]
     assert play[0]["answer"] == "(*,p2)"  # the first answer in event order
+
+
+def test_reused_parser_carries_no_option_between_invocations():
+    invocations = [
+        ["encode", "--rccs", "a.b"],
+        ["encode", "a.b"],
+        ["check", "nonsense", "a", "b"],
+        ["check", "congruence", "a|b", "b|a", "--context-depth", "7"],
+        ["check", "congruence", "a|b", "b|a"],
+    ]
+
+    def fresh(argv):
+        _build_parser.cache_clear()
+        return run(argv)
+
+    expected = [fresh(argv) for argv in invocations]
+    assert expected[0] != expected[1] and expected[3] != expected[4]
+    assert expected[2][0] == 2
+    _build_parser.cache_clear()
+    assert [run(argv) for argv in invocations] == expected
+    assert _build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(
